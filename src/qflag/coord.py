@@ -16,14 +16,37 @@ star of a term is purely syntactic: reverse the word (flipping conjugation
 flags) and reverse every key; coefficients are untouched because scalars are
 real.
 
-Zero testing never materializes the full dual: an element (or a two-leg
-tensor of elements) vanishes on the whole enveloping algebra iff its
-aggregated functionals are orthogonal to the generator closure of the stacked
-vector legs -- an exact cyclic-module computation done per weight block (the
-homogeneous split is sound for symbolic q and for rational 0 < q < 1, where
-distinct integer weight pairings give distinct powers of q; it is unsound at
-q = 1, so zero tests refuse classical scalars).  The closure dimension is the
-reported certificate.
+Zero testing never materializes the full dual.  Group the terms by
+(word, vector leg) and stack the groups: the element is a functional f on a
+direct sum V of tensor spaces, v is the stacked vector leg, and the element
+vanishes on the whole enveloping algebra U iff f vanishes on U.v.  The test
+is triangular (U = U-U0U+; Jantzen, Lectures on Quantum Groups, ch. 4):
+
+* Weight separation.  For symbolic q and for rational 0 < q < 1 distinct
+  integer weight pairings give distinct powers of q, so U0 separates weights
+  and a U0-stable subspace is the sum of its weight components.  Hence
+  U0U+.v is spanned by the weight components of U+.v, which is the closure
+  W of the weight components of v under the E_i alone (each E_i moves
+  weight by a fixed root).  At q = 1 this fails, so zero tests refuse
+  classical scalars.
+* Reduction.  U.v = U-U0U+.v = U-.W, so f vanishes on U.v iff f o y
+  vanishes on W for every y in U-, i.e. iff the closure of f under the
+  transposed F_i is orthogonal to W.
+* Functional split.  U.v is a submodule, hence U0-stable, hence
+  weight-graded; a functional vanishes on a weight-graded subspace iff each
+  of its weight components does.  So f is split by weight before closing,
+  every closure row stays weight-homogeneous, and each row is paired only
+  with the rows of W of its own weight.
+* Two legs.  A tensor functional D vanishes on (U.v0) (x) (U.v1) =
+  (U- (x) U-).(W0 (x) W1) iff its closure under F_i^T (x) 1 and 1 (x) F_i^T
+  is orthogonal to W0 (x) W1; the split is by pairs of weights.
+
+Both sides use one closure routine and one generator-action routine (the
+functional side reads the transposed tables).  The vector closures are
+cached per stacked leg; the functional closure pairs each new row at once
+and stops at the first non-zero value.  The certificate is
+(dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
+dim (U- (x) U-)^T D) for two.
 """
 
 from __future__ import annotations
@@ -36,9 +59,21 @@ from qflag.repn import CapExceeded, HWModule
 
 DEFAULT_CAP = 6000
 
+# _SlotData table of a generator: columns act on vectors, rows (the
+# transpose) on functionals
+_TABLES = {("E", False): "e_cols", ("E", True): "e_rows",
+           ("F", False): "f_cols", ("F", True): "f_rows"}
+
 
 @dataclass
 class ZeroCertificate:
+    """Verdict of a zero test.  closure_dims is (dim U+v, dim (U-)^T f) for
+    a 1-leg test and (dim U+v0, dim U+v1, dim (U- (x) U-)^T D) for a 2-leg
+    test: the raising closure of each stacked vector leg, then the lowering
+    closure of the functional (on a non-zero verdict, the part built before
+    the first non-zero pairing).  It is () when the terms cancel outright;
+    groups counts the distinct (words, vector legs) after cancellation."""
+
     zero: bool
     closure_dims: tuple[int, ...]
     groups: int
@@ -136,94 +171,50 @@ class CoordAlgebra:
 
     # -- generator action on keys ----------------------------------------------
 
-    def _gen_on_key(self, word, gen, key):
-        """pi(gen) applied to the basis vector `key` of the tensor word;
-        returns [(new_key, coeff)].  gen: ("E", i) | ("F", i) | ("K", i, e)
-        | ("Kvec", root_coords)."""
+    def _gen_on_key(self, word, gen, key, dual=False):
+        """pi(gen) applied to the basis vector `key` of the tensor word, or
+        with dual=True the transposed action fun -> fun o pi(gen) on a
+        functional key; returns [(new_key, coeff)].  gen: ("E", i) |
+        ("F", i) | ("K", i, e) | ("Kvec", root_coords).  The coproduct puts
+        K on the slots after an E and K^(-1) on the slots before an F; K is
+        diagonal, so the transpose only swaps the column tables for the row
+        tables."""
         field = self.field
         kind = gen[0]
-        out = []
-        if kind == "E":
+        slots = [self.slot(*s) for s in word]
+        if kind == "E" or kind == "F":
             i = gen[1]
-            for j in range(len(word)):
-                col = self.slot(*word[j]).e_cols[i][key[j]]
+            table = _TABLES[kind, dual]
+            out = []
+            for j, sd in enumerate(slots):
+                col = getattr(sd, table)[i][key[j]]
                 if not col:
                     continue
-                exp = 0
-                for mslot in range(j + 1, len(word)):
-                    exp += self.slot(*word[mslot]).kexp[i][key[mslot]]
+                if kind == "E":
+                    exp = sum(slots[m].kexp[i][key[m]]
+                              for m in range(j + 1, len(word)))
+                else:
+                    exp = -sum(slots[m].kexp[i][key[m]] for m in range(j))
                 f = field.q_power(exp)
                 for l, c in col:
                     out.append((key[:j] + (l,) + key[j + 1:], c * f))
-        elif kind == "F":
-            i = gen[1]
-            for j in range(len(word)):
-                col = self.slot(*word[j]).f_cols[i][key[j]]
-                if not col:
-                    continue
-                exp = 0
-                for mslot in range(j):
-                    exp -= self.slot(*word[mslot]).kexp[i][key[mslot]]
-                f = field.q_power(exp)
-                for l, c in col:
-                    out.append((key[:j] + (l,) + key[j + 1:], c * f))
-        elif kind == "K":
+            return out
+        if kind == "K":
             i, e = gen[1], gen[2]
-            exp = e * sum(self.slot(*word[j]).kexp[i][key[j]]
-                          for j in range(len(word)))
-            out.append((key, field.q_power(exp)))
+            exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
         elif kind == "Kvec":
-            coeffs = gen[1]
-            exp = 0
-            for j in range(len(word)):
-                sd = self.slot(*word[j])
-                for a, ca in enumerate(coeffs, start=1):
-                    if ca:
-                        exp += ca * sd.kexp[a][key[j]]
-            out.append((key, field.q_power(exp)))
+            exp = sum(ca * sd.kexp[a][k]
+                      for sd, k in zip(slots, key)
+                      for a, ca in enumerate(gen[1], start=1) if ca)
         else:
             raise ValueError(f"unknown generator {gen}")
-        return out
-
-    def _gen_on_key_dual(self, word, gen, key):
-        """fun -> fun o pi(gen) on a functional key: the transposed action."""
-        field = self.field
-        kind = gen[0]
-        out = []
-        if kind == "E":
-            i = gen[1]
-            for j in range(len(word)):
-                row = self.slot(*word[j]).e_rows[i][key[j]]
-                if not row:
-                    continue
-                exp = 0
-                for mslot in range(j + 1, len(word)):
-                    exp += self.slot(*word[mslot]).kexp[i][key[mslot]]
-                f = field.q_power(exp)
-                for src, c in row:
-                    out.append((key[:j] + (src,) + key[j + 1:], c * f))
-        elif kind == "F":
-            i = gen[1]
-            for j in range(len(word)):
-                row = self.slot(*word[j]).f_rows[i][key[j]]
-                if not row:
-                    continue
-                exp = 0
-                for mslot in range(j):
-                    exp -= self.slot(*word[mslot]).kexp[i][key[mslot]]
-                f = field.q_power(exp)
-                for src, c in row:
-                    out.append((key[:j] + (src,) + key[j + 1:], c * f))
-        else:  # K / Kvec are diagonal, transpose is itself
-            return self._gen_on_key(word, gen, key)
-        return out
+        return [(key, field.q_power(exp))]
 
     def _apply_gen_vec(self, word, gen, vec, dual=False):
-        act = self._gen_on_key_dual if dual else self._gen_on_key
         zero = self.field.zero
         out = {}
         for key, c in vec.items():
-            for nk, f in act(word, gen, key):
+            for nk, f in self._gen_on_key(word, gen, key, dual):
                 nv = out.get(nk, zero) + c * f
                 if nv:
                     out[nk] = nv
@@ -357,7 +348,11 @@ class CoordAlgebra:
         """Exact zero test for sums of tensors of elements (1 or 2 legs).
 
         tensor_terms: iterable of (coeff, (elem_0, ..., elem_n)).  Returns a
-        ZeroCertificate whose closure_dims records the per-leg certificate.
+        ZeroCertificate: closure_dims holds dim U+v_s for each stacked vector
+        leg, then the dimension of the lowering closure of the functional
+        (see the module docstring).  A non-zero verdict stops at the first
+        functional row that pairs non-trivially, so its last dimension is
+        the size of the closure built so far.
         """
         field = self.field
         if getattr(field, "is_classical", False):
@@ -390,103 +385,117 @@ class CoordAlgebra:
                 "zero tests are implemented for 1- and 2-leg tensors")
         order = sorted(groups, key=_group_sort_key)
 
-        sides = []
-        for s in range(nsides):
-            sig = tuple((k[0][s], k[1][s]) for k in order)
-            sides.append(self._closure(sig, cap))
+        # vector side: U+ closure of each stacked leg, rows by weight
+        legs = [self._raising_closure(
+            tuple((k[0][s], k[1][s]) for k in order), cap)
+            for s in range(nsides)]
+        dims = tuple(dim for _, _, dim in legs)
 
-        if nsides == 1:
-            indexer, basis = sides[0]
-            G = {}
-            for gi, k in enumerate(order):
-                for fkeys, c in groups[k].items():
-                    G[indexer.index((gi, fkeys[0]))] = c
-            for row in basis.rows():
-                val = field.zero
-                small, big = (G, row) if len(G) <= len(row) else (row, G)
-                for pk, c in small.items():
-                    gc = big.get(pk)
-                    if gc is not None:
-                        val = val + gc * c
-                if val:
-                    return ZeroCertificate(
-                        False, (basis.dim,), len(order),
-                        witness=f"pairs to {val} on a closure vector")
-            return ZeroCertificate(True, (basis.dim,), len(order))
-
-        (ix0, b0), (ix1, b1) = sides
-        D = {}
-        for gi, k in enumerate(order):
-            for (k0, k1), c in groups[k].items():
-                p0 = ix0.index((gi, k0))
-                p1 = ix1.index((gi, k1))
-                D.setdefault(p0, {})[p1] = c
-        rows1 = b1.rows()
-        rows0 = b0.rows()
-        # weight bucketing: a closure row is weight-homogeneous, and a
-        # functional key pairs only with vectors carrying the same key
-        sets1 = [set(r) for r in rows1]
-        for r0 in rows0:
-            u = {}
-            for p0, c0 in r0.items():
-                d = D.get(p0)
-                if d:
-                    for p1, c in d.items():
-                        u[p1] = u.get(p1, field.zero) + c0 * c
-            u = {k: v for k, v in u.items() if v}
-            if not u:
-                continue
-            uk = set(u)
-            for r1, s1 in zip(rows1, sets1):
-                hit = uk & s1
-                if not hit:
-                    continue
-                val = field.zero
-                for p1 in hit:
-                    val = val + u[p1] * r1[p1]
-                if val:
-                    return ZeroCertificate(
-                        False, (b0.dim, b1.dim), len(order),
-                        witness=f"pairs to {val} on a closure pair")
-        return ZeroCertificate(True, (b0.dim, b1.dim), len(order))
+        # functional side: keys (block, k_0, ..., k_n-1), closed under the
+        # transposed F_i on each leg; every new row is paired at once
+        words = [k[0] for k in order]
+        indexer = KeyIndexer()
+        seeds = self._weight_split(indexer, words, (
+            ((gi,) + fkeys, c)
+            for gi, k in enumerate(order) for fkeys, c in groups[k].items()))
+        lowering = [(s, ("F", i)) for s in range(nsides)
+                    for i in range(1, self.rs.rank + 1)]
+        leg_keys = {}
+        fdim = 0
+        for row in self._closure_rows(indexer, words, seeds, lowering, True,
+                                      cap):
+            fdim += 1
+            tensor = {}
+            for pk, c in row.items():
+                ps = leg_keys.get(pk)
+                if ps is None:
+                    bk = indexer.key(pk)
+                    ps = leg_keys[pk] = tuple(
+                        ix.index((bk[0], bk[1 + s]))
+                        for s, (ix, _, _) in enumerate(legs))
+                tensor[ps] = c
+            wt = self._packed_weight(indexer, words, next(iter(row)))
+            val = _first_nonzero(field, tensor, [
+                by_wt.get(wt[s:s + 1], ())
+                for s, (_, by_wt, _) in enumerate(legs)])
+            if val is not None:
+                return ZeroCertificate(
+                    False, dims + (fdim,), len(order),
+                    witness=f"pairs to {val} on a closure "
+                    + ("vector" if nsides == 1 else "pair"))
+        return ZeroCertificate(True, dims + (fdim,), len(order))
 
     def is_zero(self, elem: CoordElem, cap=DEFAULT_CAP) -> ZeroCertificate:
         return self.tensor_zero_test([(self.field.one, (elem,))], cap)
 
-    def _closure(self, sig, cap):
-        """Generator closure of the stacked vector legs described by sig:
-        a tuple of (word, canonical vec items) blocks.  Cached."""
+    def _raising_closure(self, sig, cap):
+        """U+ closure of the stacked vector leg described by sig, a tuple of
+        (word, canonical vec items) blocks: (indexer, {(weight,): rows},
+        dim).  Cached."""
         cached = self._closure_cache.get(sig)
         if cached is not None:
             return cached
-        field = self.field
         indexer = KeyIndexer()
-        words = [w for w, _ in sig]
+        words = [(w,) for w, _ in sig]
+        seeds = self._weight_split(indexer, words, (
+            ((gi, key), c)
+            for gi, (_, vec_items) in enumerate(sig) for key, c in vec_items))
+        raising = [(0, ("E", i)) for i in range(1, self.rs.rank + 1)]
         by_wt = {}
-        for gi, (word, vec_items) in enumerate(sig):
-            for key, c in vec_items:
-                wt = self.key_weight(word, key)
-                blk = by_wt.setdefault(wt, {})
-                pk = indexer.index((gi, key))
-                blk[pk] = blk.get(pk, field.zero) + c
+        for row in self._closure_rows(indexer, words, seeds, raising, False,
+                                      cap):
+            wt = self._packed_weight(indexer, words, next(iter(row)))
+            by_wt.setdefault(wt, []).append(row)
+        out = (indexer, by_wt, sum(len(rows) for rows in by_wt.values()))
+        self._closure_cache[sig] = out
+        return out
+
+    def _packed_weight(self, indexer, words, pk):
+        """Per-leg weights of the packed key (block, k_0, ..., k_n-1)."""
+        bk = indexer.key(pk)
+        return tuple(self.key_weight(w, k) for w, k in zip(words[bk[0]],
+                                                            bk[1:]))
+
+    def _weight_split(self, indexer, words, items):
+        """Pack ((block, k_0, ..., k_n-1), coeff) items and split them into
+        weight-homogeneous vectors, in sorted weight order."""
+        zero = self.field.zero
+        by_wt = {}
+        for bk, c in items:
+            pk = indexer.index(bk)
+            blk = by_wt.setdefault(self._packed_weight(indexer, words, pk), {})
+            blk[pk] = blk.get(pk, zero) + c
+        return [by_wt[wt] for wt in sorted(by_wt)]
+
+    def _closure_rows(self, indexer, words, seeds, gens, dual, cap):
+        """Span closure of the seed vectors under gens, yielding each stored
+        row as soon as it is inserted (a caller may stop early).
+
+        Keys are packed (block, k_0, ..., k_n-1); block b has leg words
+        words[b], and a generator (s, gen) acts on leg s alone -- on vectors,
+        or transposed on functionals when dual is set.  Weight-homogeneous
+        seeds give weight-homogeneous rows, because every generator moves
+        weight by a fixed root."""
+        field = self.field
         basis = span_basis(field)
         queue = []
-        for wt in sorted(by_wt):
-            r = basis.insert(by_wt[wt])
+        for v in seeds:
+            r = basis.insert(v)
             if r is not None:
                 queue.append(r)
-        gens = [("E", i) for i in range(1, self.rs.rank + 1)] + \
-               [("F", i) for i in range(1, self.rs.rank + 1)]
+                yield r
         qi = 0
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for gen in gens:
+            for s, gen in gens:
                 img = {}
                 for pk, c in v.items():
-                    gi, key = indexer.key(pk)
-                    for nk, f in self._gen_on_key(words[gi], gen, key):
-                        np = indexer.index((gi, nk))
+                    bk = indexer.key(pk)
+                    head, tail = bk[:1 + s], bk[2 + s:]
+                    for nk, f in self._gen_on_key(words[bk[0]][s], gen,
+                                                  bk[1 + s], dual):
+                        np = indexer.index(head + (nk,) + tail)
                         nv = img.get(np, field.zero) + c * f
                         if nv:
                             img[np] = nv
@@ -501,8 +510,7 @@ class CoordAlgebra:
                             f"closure dimension exceeded the cap {cap}; "
                             "raise --cap or use an evaluated (fixed-q) run")
                     queue.append(r)
-        self._closure_cache[sig] = (indexer, basis)
-        return indexer, basis
+                    yield r
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +525,26 @@ def _pair(field, fun, vec):
         if v is not None:
             tot = tot + c * v
     return tot
+
+
+def _first_nonzero(field, tensor, legs):
+    """The first non-zero value of tensor {(p_0, ..., p_n-1): c} on a
+    product a_0 (x) ... (x) a_n-1 of rows a_s from legs[s], else None."""
+    rows, rest = legs[0], legs[1:]
+    for a in rows:
+        u = {}
+        for ps, c in tensor.items():
+            x = a.get(ps[0])
+            if x is not None:
+                u[ps[1:]] = u.get(ps[1:], field.zero) + c * x
+        if rest:
+            val = _first_nonzero(field, {k: v for k, v in u.items() if v},
+                                 rest)
+        else:
+            val = u.get(()) or None
+        if val is not None:
+            return val
+    return None
 
 
 def _canon_vec(vec):

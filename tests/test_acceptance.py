@@ -84,16 +84,18 @@ def test_criterion_2_pairing_nonzero_off_levi_zero_on_levi():
 def test_criterion_3_cycle_condition_with_negative_control(law_ctxs):
     """normalize(b_twisted(C(P))) passes the zero test with a recorded
     certificate in every configured case; the identity-twist control
-    fails for the rank-one case at q = 1/2."""
+    fails, with a witness and within the default cap, for the rank-one
+    case and at scale (A2 S={} and G2 S={2}) at q = 1/2."""
     for ctx in law_ctxs:
         cert, _, _ = hh.verify_cycle(ctx)
         assert isinstance(cert, ZeroCertificate)
         assert cert.zero, f"{ctx.rs.name} S={ctx.S}: boundary not zero"
         assert cert.closure_dims or cert.groups == 0
-    control = hh.identity_twist_control(
-        flag_context("A", 1, (), FixedField(Fraction(1, 2))))
-    assert not control.zero, "identity twist must NOT give a cycle"
-    assert control.witness is not None
+    half = FixedField(Fraction(1, 2))
+    for args in (("A", 1, ()), ("A", 2, ()), ("G", 2, (2,))):
+        control = hh.identity_twist_control(flag_context(*args, half))
+        assert not control.zero, f"{args}: identity twist gave a cycle"
+        assert control.witness is not None
 
 
 def test_criterion_4_projection_laws_and_levi_invariance(law_ctxs):

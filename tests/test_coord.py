@@ -433,7 +433,8 @@ def test_tensor_zero_two_legs(a1):
     assert not cert.zero  # distinct legs swapped: not the same tensor
     cert = alg.tensor_zero_test([(one, (lhs, z)), (-one, (y, z))])
     assert cert.zero
-    assert len(cert.closure_dims) == 2 and min(cert.closure_dims) > 0
+    # (dim U+v0, dim U+v1, dim (U- (x) U-)^T D)
+    assert len(cert.closure_dims) == 3 and min(cert.closure_dims) > 0
     # and a genuine nonzero
     cert = alg.tensor_zero_test([(one, (x, y)), (one, (x, z))])
     assert not cert.zero

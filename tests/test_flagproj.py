@@ -173,6 +173,7 @@ def test_matrix_unit_product_needs_delta(a1):
 
 
 def test_cap_propagates(a1):
+    # the (0, 0) law has certificate (3, 2): cap 2 is overrun by U+v
     ctx = fp.flag_context("A", 1, (), SymbolicField())
     with pytest.raises(CapExceeded):
-        fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=3)
+        fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=2)

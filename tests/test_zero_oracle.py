@@ -1,0 +1,240 @@
+"""The triangular zero test against an independent two-sided oracle.
+
+`CoordAlgebra.tensor_zero_test` pairs the lowering closure of the functional
+with the raising closure of the vector legs (see the `qflag.coord`
+docstring).  The oracle below asks the same question directly: close
+every stacked vector leg under all E_i *and* F_i, which spans U.v, and pair the aggregated functional with every row.  It exists
+only here, as a reference; both must give the same verdict on zero and
+non-zero inputs, 1-leg and 2-leg.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qflag import flagproj as fp
+from qflag import hochschild as hh
+from qflag.coord import _canon_vec, _group_sort_key, _product, _product_items
+from qflag.lin import KeyIndexer, span_basis
+from qflag.qscalar import FixedField, SymbolicField
+
+
+def two_sided_closure(alg, sig):
+    """Closure of the stacked vector legs sig ((word, vec items) blocks)
+    under every E_i and F_i, seeded by the weight components."""
+    field = alg.field
+    indexer = KeyIndexer()
+    words = [w for w, _ in sig]
+    by_wt = {}
+    for gi, (word, vec_items) in enumerate(sig):
+        for key, c in vec_items:
+            blk = by_wt.setdefault(alg.key_weight(word, key), {})
+            pk = indexer.index((gi, key))
+            blk[pk] = blk.get(pk, field.zero) + c
+    basis = span_basis(field)
+    queue = []
+    for wt in sorted(by_wt):
+        r = basis.insert(by_wt[wt])
+        if r is not None:
+            queue.append(r)
+    gens = [(kind, i) for kind in ("E", "F")
+            for i in range(1, alg.rs.rank + 1)]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for gen in gens:
+            img = {}
+            for pk, c in v.items():
+                gi, key = indexer.key(pk)
+                for nk, f in alg._gen_on_key(words[gi], gen, key):
+                    np = indexer.index((gi, nk))
+                    img[np] = img.get(np, field.zero) + c * f
+            r = basis.insert({k: c for k, c in img.items() if c})
+            if r is not None:
+                queue.append(r)
+    return indexer, basis.rows()
+
+
+def two_sided_is_zero(alg, tensor_terms):
+    """Oracle verdict: the aggregated (tensor) functional vanishes on the
+    two-sided closure of every leg."""
+    field = alg.field
+    groups = {}
+    nsides = None
+    for coeff, legs in tensor_terms:
+        nsides = len(legs)
+        for combo in _product([e.terms for e in legs]):
+            key = (tuple(t[0] for t in combo),
+                   tuple(_canon_vec(t[2]) for t in combo))
+            g = groups.setdefault(key, {})
+            for fkeys, fc in _product_items([t[1] for t in combo]):
+                g[fkeys] = g.get(fkeys, field.zero) + coeff * fc
+    groups = {k: {f: c for f, c in g.items() if c} for k, g in groups.items()}
+    order = sorted((k for k, g in groups.items() if g), key=_group_sort_key)
+    if not order:
+        return True
+    sides = [two_sided_closure(alg, tuple((k[0][s], k[1][s]) for k in order))
+             for s in range(nsides)]
+    if nsides == 1:
+        (ix, rows), = sides
+        fun = {ix.index((gi, fkeys[0])): c for gi, k in enumerate(order)
+               for fkeys, c in groups[k].items()}
+        return not any(_dot(field, fun, row) for row in rows)
+    (ix0, rows0), (ix1, rows1) = sides
+    D = {}
+    for gi, k in enumerate(order):
+        for (k0, k1), c in groups[k].items():
+            D.setdefault(ix0.index((gi, k0)), {})[ix1.index((gi, k1))] = c
+    for r0 in rows0:
+        u = {}
+        for p0, c0 in r0.items():
+            for p1, c in D.get(p0, {}).items():
+                u[p1] = u.get(p1, field.zero) + c0 * c
+        if any(_dot(field, u, r1) for r1 in rows1):
+            return False
+    return True
+
+
+def _dot(field, a, b):
+    val = field.zero
+    for k, c in a.items():
+        x = b.get(k)
+        if x is not None:
+            val = val + c * x
+    return val
+
+
+# -- random inputs ----------------------------------------------------------------
+
+
+def _coeff(rng, field):
+    r = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3))
+    return field.from_fraction(r) * field.q_power(rng.randint(-2, 2))
+
+
+def _munit(rng, ctx):
+    n = ctx.dim
+    return ctx.munit(*(rng.randrange(n) for _ in range(4)))
+
+
+def _product_law(rng, ctx, tamper=False):
+    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_ad N_a mu[c,b][i,j],
+    which is zero; tamper scales one summand by q."""
+    n = ctx.dim
+    a, b, c, d, i, j = (rng.randrange(n) for _ in range(6))
+    bad = rng.randrange(n) if tamper else None
+    lhs = ctx.alg.zero()
+    for k in range(n):
+        w = ctx.norms[k]
+        if k == bad:
+            w = w * ctx.field.q_power(1)
+        lhs = lhs + w * (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
+    if a == d:
+        lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
+    return lhs
+
+
+def _coproduct_rule(rng, ctx):
+    """E_i |> (xy) - (E_i |> x)(K_i |> y) - x (E_i |> y), which is zero."""
+    i = rng.randint(1, ctx.rs.rank)
+    x, y = _munit(rng, ctx), _munit(rng, ctx)
+    return (x * y).act_left(("E", i)) \
+        - x.act_left(("E", i)) * y.act_left(("K", i, 1)) \
+        - x * y.act_left(("E", i))
+
+
+def _zero_elem(rng, ctx):
+    F = ctx.field
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _coeff(rng, F) * _product_law(rng, ctx) \
+            + _coeff(rng, F) * _product_law(rng, ctx)
+    if kind == 1:
+        n = ctx.dim
+        return _product_law(rng, ctx) * ctx.coeff(
+            rng.randrange(n), rng.randrange(n), rng.random() < 0.5)
+    if kind == 2:
+        return _product_law(rng, ctx).act_right(
+            ("F", rng.randint(1, ctx.rs.rank)))
+    return _coproduct_rule(rng, ctx)
+
+
+def _nonzero_elem(rng, ctx):
+    F = ctx.field
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _product_law(rng, ctx, tamper=True)
+    if kind == 1:
+        return _zero_elem(rng, ctx) + _coeff(rng, F) * _munit(rng, ctx)
+    x, y = _munit(rng, ctx), _munit(rng, ctx)
+    return x * y - y * x.theta()
+
+
+def one_leg_inputs(rng, ctx, n):
+    out = []
+    for t in range(n):
+        e = _zero_elem(rng, ctx) if t % 2 else _nonzero_elem(rng, ctx)
+        out.append([(ctx.field.one, (e,))])
+    return out
+
+
+def two_leg_inputs(rng, ctx, n):
+    F = ctx.field
+    out = []
+    for t in range(n):
+        x, y = _munit(rng, ctx), _munit(rng, ctx)
+        terms = [(_coeff(rng, F), (_zero_elem(rng, ctx), x)),
+                 (_coeff(rng, F), (y, _zero_elem(rng, ctx)))]
+        if t % 2 == 0:
+            terms.append((_coeff(rng, F), (x, y)))
+        out.append(terms)
+    return out
+
+
+# case -> (flag_context args, field, 1-leg inputs, 2-leg inputs); the
+# oracle's two-sided closures cost up to a few seconds per rank-two input
+CASES = {
+    "A1-symbolic": (("A", 1, ()), SymbolicField, 16, 8),
+    "A2-S2-symbolic": (("A", 2, (2,)), SymbolicField, 8, 4),
+    "B2-S1-q12": (("B", 2, (1,)), lambda: FixedField(Fraction(1, 2)), 12, 6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    args, field, n1, n2 = CASES[request.param]
+    return request.param, fp.flag_context(*args, field()), n1, n2
+
+
+def _agree(ctx, inputs):
+    verdicts = []
+    for terms in inputs:
+        cert = ctx.alg.tensor_zero_test(terms)
+        assert cert.zero == two_sided_is_zero(ctx.alg, terms), terms
+        assert cert.zero or cert.witness
+        verdicts.append(cert.zero)
+    return verdicts
+
+
+def test_oracle_agrees_one_leg(case):
+    name, ctx, n1, _ = case
+    verdicts = _agree(ctx, one_leg_inputs(random.Random(name), ctx, n1))
+    assert True in verdicts and False in verdicts
+
+
+def test_oracle_agrees_two_legs(case):
+    name, ctx, _, n2 = case
+    verdicts = _agree(ctx, two_leg_inputs(random.Random(name + "2"), ctx, n2))
+    assert True in verdicts and False in verdicts
+
+
+def test_oracle_agrees_on_cycle_and_identity_twist(case):
+    """The normalized twisted boundary of the canonical cycle is zero and
+    the identity-twist control is not, under both tests."""
+    ctx = case[1]
+    good = hh.normalize(hh.twisted_boundary(hh.idempotent_cycle(ctx)))
+    bad = hh.normalize(hh.twisted_boundary(hh.idempotent_cycle(ctx),
+                                           twist="identity"))
+    assert _agree(ctx, [list(good.terms), list(bad.terms)]) == [True, False]
