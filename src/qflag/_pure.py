@@ -5,13 +5,22 @@ Two implementations of the same incremental-echelon interface:
 * FieldSpanBasis -- generic over any exact field element supporting
   +, -, *, /, bool (symbolic Laurent fractions use this one);
 * FractionSpanBasis -- Fraction vectors re-encoded as integer rows with a
-  common denominator, eliminated by cross-multiplication with gcd stripping.
-  This is the reference twin of the compiled kernel in _speedups.pyx and must
-  stay behaviorally identical to it.
+  common denominator, eliminated by cross-multiplication with gcd stripping
+  (fraction-free in the style of Bareiss 1968).
 
 A stored row is pivot-normalized (value 1 at its pivot, the row's largest
 key), so one descending elimination pass terminates: eliminating the largest
-pivot key only introduces smaller keys.
+pivot key only introduces smaller keys.  It follows that insert stores and
+returns the same row for vec and for any non-zero multiple of vec.
+
+Each kernel also builds closure images in its own scalars.  encode_action
+turns a generator action [(key, coeff)] into an encoded action
+(den, ((key, num), ...)) with coeff == num / den -- FieldSpanBasis keeps
+field elements with den 1, FractionSpanBasis integers -- and image(row,
+action) forms a non-zero multiple of sum_k row[k] * action(k) for a stored
+row.  FractionSpanBasis works on the stored integer row and the integer
+actions under a running lcm of their denominators, so a closure at fixed q
+makes no Fraction until insert returns its row.
 """
 
 from __future__ import annotations
@@ -63,6 +72,25 @@ class FieldSpanBasis:
 
     def rows(self):
         return [dict(r) for r in self._rows.values()]
+
+    @staticmethod
+    def encode_action(pairs):
+        """(1, ((key, coeff), ...)): field elements need no denominator."""
+        return 1, tuple(pairs)
+
+    def image(self, row, action):
+        """sum_k row[k] * action(k) with zeros dropped; action(k) is the
+        encoded action on key k."""
+        out = {}
+        for k, c in row.items():
+            for j, f in action(k)[1]:
+                cur = out.get(j)
+                nv = c * f if cur is None else cur + c * f
+                if nv:
+                    out[j] = nv
+                else:
+                    out.pop(j, None)
+        return out
 
 
 class FractionSpanBasis:
@@ -145,3 +173,38 @@ class FractionSpanBasis:
     def rows(self):
         return [{j: Fraction(n, den) for j, n in nv.items()}
                 for den, nv in self._rows.values()]
+
+    @staticmethod
+    def encode_action(pairs):
+        """(den, ((key, num), ...)) with coeff == num / den for each pair."""
+        den = 1
+        for _, f in pairs:
+            d = f.denominator
+            den = den // gcd(den, d) * d
+        return den, tuple((k, f.numerator * (den // f.denominator))
+                          for k, f in pairs)
+
+    def image(self, row, action):
+        """An integer multiple of sum_k row[k] * action(k) with zeros
+        dropped, for a row returned by insert; action(k) is the encoded
+        action on key k.  The stored integer row is used as is, and the
+        partial sum is rescaled whenever an action brings a denominator
+        that does not divide the running lcm."""
+        _, num = self._rows[max(row)]
+        out = {}
+        den = 1
+        for k, c in num.items():
+            d, pairs = action(k)
+            if den % d:
+                m = d // gcd(den, d)
+                den *= m
+                for j in out:
+                    out[j] *= m
+            c *= den // d
+            for j, n in pairs:
+                x = out.get(j, 0) + c * n
+                if x:
+                    out[j] = x
+                else:
+                    out.pop(j, None)
+        return out

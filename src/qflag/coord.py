@@ -47,6 +47,22 @@ cached per stacked leg; the functional closure pairs each new row at once
 and stops at the first non-zero value.  The certificate is
 (dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
 dim (U- (x) U-)^T D) for two.
+
+Two shortcuts keep closures cheap without changing any result:
+
+* Memoized generator action.  A registered module never changes and a
+  slot's action tables depend only on (module, barred), so pi(gen) on a key
+  of a word, or its transpose, is a function of (word, gen, key, dual)
+  alone.  Each algebra memoizes _gen_on_key, and its encoding for the span
+  kernel, on exactly that tuple, as immutable tuples.
+* Images in the kernel's scalars.  A closure image is formed by the span
+  kernel from its stored row and the encoded per-key actions; at fixed q
+  that is a non-zero integer multiple of the Fraction image.  Scaling does
+  not change the span, and the kernel stores rows pivot-normalized, so the
+  stored rows are the Fraction computation's rows.  Zero partial sums stay
+  zero under the scaling, so even the key order of each image, and with it
+  the first-seen packing of new keys, is unchanged; rows, pairings,
+  witnesses and certificates are identical.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qflag import cartan
-from qflag.lin import KeyIndexer, span_basis
+from qflag.lin import KeyIndexer, kernel, span_basis
 from qflag.repn import CapExceeded, HWModule
 
 DEFAULT_CAP = 6000
@@ -136,6 +152,9 @@ class CoordAlgebra:
         self._slots = {}
         self._closure_cache = {}
         self._haar_cache = {}
+        self._gen_cache = {}
+        self._encoded_cache = {}
+        self._encode = kernel(field).encode_action
 
     def register(self, m: HWModule) -> int:
         if m.rs is not self.rs and m.rs != self.rs:
@@ -174,11 +193,30 @@ class CoordAlgebra:
     def _gen_on_key(self, word, gen, key, dual=False):
         """pi(gen) applied to the basis vector `key` of the tensor word, or
         with dual=True the transposed action fun -> fun o pi(gen) on a
-        functional key; returns [(new_key, coeff)].  gen: ("E", i) |
-        ("F", i) | ("K", i, e) | ("Kvec", root_coords).  The coproduct puts
-        K on the slots after an E and K^(-1) on the slots before an F; K is
-        diagonal, so the transpose only swaps the column tables for the row
-        tables."""
+        functional key; returns ((new_key, coeff), ...).  gen: ("E", i) |
+        ("F", i) | ("K", i, e) | ("Kvec", root_coords).  Memoized on the
+        full argument tuple (see the module docstring)."""
+        ck = (word, gen, key, dual)
+        out = self._gen_cache.get(ck)
+        if out is None:
+            out = self._gen_cache[ck] = tuple(
+                self._gen_action(word, gen, key, dual))
+        return out
+
+    def _encoded_gen_on_key(self, word, gen, key, dual):
+        """_gen_on_key encoded for the algebra's span kernel; memoized on
+        the same argument tuple."""
+        ck = (word, gen, key, dual)
+        out = self._encoded_cache.get(ck)
+        if out is None:
+            out = self._encoded_cache[ck] = self._encode(
+                self._gen_on_key(word, gen, key, dual))
+        return out
+
+    def _gen_action(self, word, gen, key, dual):
+        """The uncached _gen_on_key.  The coproduct puts K on the slots
+        after an E and K^(-1) on the slots before an F; K is diagonal, so
+        the transpose only swaps the column tables for the row tables."""
         field = self.field
         kind = gen[0]
         slots = [self.slot(*s) for s in word]
@@ -450,6 +488,19 @@ class CoordAlgebra:
         self._closure_cache[sig] = out
         return out
 
+    def _leg_action(self, indexer, words, s, gen, dual):
+        """pk -> the encoded action of gen on leg s of the packed key pk,
+        with the image keys packed."""
+        index, key = indexer.index, indexer.key
+        encoded = self._encoded_gen_on_key
+
+        def action(pk):
+            bk = key(pk)
+            head, tail = bk[:1 + s], bk[2 + s:]
+            den, pairs = encoded(words[bk[0]][s], gen, bk[1 + s], dual)
+            return den, [(index(head + (nk,) + tail), c) for nk, c in pairs]
+        return action
+
     def _packed_weight(self, indexer, words, pk):
         """Per-leg weights of the packed key (block, k_0, ..., k_n-1)."""
         bk = indexer.key(pk)
@@ -475,9 +526,11 @@ class CoordAlgebra:
         words[b], and a generator (s, gen) acts on leg s alone -- on vectors,
         or transposed on functionals when dual is set.  Weight-homogeneous
         seeds give weight-homogeneous rows, because every generator moves
-        weight by a fixed root."""
-        field = self.field
-        basis = span_basis(field)
+        weight by a fixed root.  Images are formed by the kernel in its own
+        scalars from the memoized encoded actions."""
+        basis = span_basis(self.field)
+        actions = [self._leg_action(indexer, words, s, gen, dual)
+                   for s, gen in gens]
         queue = []
         for v in seeds:
             r = basis.insert(v)
@@ -488,19 +541,8 @@ class CoordAlgebra:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for s, gen in gens:
-                img = {}
-                for pk, c in v.items():
-                    bk = indexer.key(pk)
-                    head, tail = bk[:1 + s], bk[2 + s:]
-                    for nk, f in self._gen_on_key(words[bk[0]][s], gen,
-                                                  bk[1 + s], dual):
-                        np = indexer.index(head + (nk,) + tail)
-                        nv = img.get(np, field.zero) + c * f
-                        if nv:
-                            img[np] = nv
-                        else:
-                            img.pop(np, None)
+            for act in actions:
+                img = basis.image(v, act)
                 if not img:
                     continue
                 r = basis.insert(img)

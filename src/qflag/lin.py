@@ -1,35 +1,29 @@
-"""Kernel selection for exact span/elimination.
+"""Exact span/elimination for the package's two scalar kinds.
 
-Fixed-q scalars (Fractions) get the integer-row kernel, compiled if the
-extension built, pure otherwise; symbolic scalars always use the generic
-field kernel.  Set QFLAG_PURE=1 to force the pure twin (used by the
-benchmark and the equivalence tests).
+Fixed-q scalars (Fractions) get the integer-row kernel, symbolic scalars
+the generic field kernel; both live in qflag._pure.
 """
 
 from __future__ import annotations
 
-import os
-
-from qflag._pure import FieldSpanBasis
-from qflag._pure import FractionSpanBasis as _PureFractionSpanBasis
-
-_COMPILED = None
-if not os.environ.get("QFLAG_PURE"):
-    try:
-        from qflag._speedups import FractionSpanBasis as _COMPILED  # type: ignore
-    except ImportError:
-        _COMPILED = None
+from qflag._pure import FieldSpanBasis, FractionSpanBasis
 
 
 def kernel_name() -> str:
-    return "compiled" if _COMPILED is not None else "pure"
+    """Name of the elimination kernel, for environment records."""
+    return "pure"
+
+
+def kernel(field):
+    """The SpanBasis class suited to the field's element type."""
+    if getattr(field, "fraction_elements", False):
+        return FractionSpanBasis
+    return FieldSpanBasis
 
 
 def span_basis(field):
     """A fresh SpanBasis suited to the field's element type."""
-    if getattr(field, "fraction_elements", False):
-        return (_COMPILED or _PureFractionSpanBasis)()
-    return FieldSpanBasis()
+    return kernel(field)()
 
 
 class KeyIndexer:

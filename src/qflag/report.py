@@ -343,8 +343,10 @@ def run_suite(cfg: CaseConfig) -> Report:
 
 def emit_report(rep: Report, path=None):
     """Write the structured report (if a path is given) and print the
-    human-readable summary.  Returns the process exit code: 0 iff the
-    verdict is pass, 2 on I/O failure."""
+    human-readable summary, which ends with the number of skipped checks
+    (with a warning when there are any: a skipped check was not verified)
+    and the verdict.  Returns the process exit code: 0 iff the verdict is
+    pass, 2 on I/O failure."""
     text = rep.to_json()
     if path is not None:
         try:
@@ -365,6 +367,11 @@ def emit_report(rep: Report, path=None):
         if r.note:
             line += f"  ({r.note})"
         print(line)
+    skipped = sum(r.status == "skipped" for r in rep.records)
+    print(f"skipped: {skipped}")
+    if skipped:
+        print(f"warning: {skipped} check(s) skipped, not verified; "
+              "see the notes above")
     print(f"verdict: {rep.verdict}")
     return 0 if rep.verdict == "pass" else 1
 

@@ -467,3 +467,34 @@ def test_register_guards():
         alg.register(hw_module(other, (1, 0), F))
     with pytest.raises(ValueError, match="scalar field"):
         alg.register(hw_module(rs, (1,), FixedField(Q(1, 2))))
+
+
+# -- generator-action memo ------------------------------------------------------
+
+
+@pytest.mark.parametrize("subset,field", [
+    ((), FixedField(Q(1, 2))),
+    ((2,), SymbolicField()),
+], ids=["A2-S0-q12", "A2-S2-symbolic"])
+def test_gen_on_key_memo_matches_fresh_algebra(subset, field):
+    """Every (word, gen, key, dual) call on an algebra whose memo already
+    holds every other combination returns what a fresh algebra computes, so
+    the memo key keeps the word (with its barred flags), the generator, the
+    key and dual apart."""
+    from qflag.flagproj import flag_context
+
+    alg = flag_context("A", 2, subset, field).alg
+    (m,) = alg.modules
+    slots = [(0, False), (0, True)]
+    words = [(s,) for s in slots] + list(itertools.product(slots, repeat=2))
+    gens = [(kind, i) for kind in ("E", "F") for i in (1, 2)] + \
+        [("K", i, e) for i in (1, 2) for e in (1, -1)]
+    calls = [(w, g, k, dual) for w in words
+             for k in itertools.product(range(m.dim), repeat=len(w))
+             for g in gens for dual in (False, True)]
+    for call in calls:
+        alg._gen_on_key(*call)
+    for call in calls:
+        fresh = CoordAlgebra(alg.rs, field)
+        fresh.register(m)
+        assert alg._gen_on_key(*call) == fresh._gen_on_key(*call), call

@@ -1,8 +1,9 @@
-"""Kernel twins against a naive dense-Gaussian oracle, and against each other.
+"""Kernel implementations against a naive dense-Gaussian oracle, and against
+each other.
 
-The three implementations (generic field kernel, pure integer-row kernel,
-compiled integer-row kernel when built) must produce identical spans, ranks,
-and reductions on identical input order.
+The two implementations (generic field kernel, integer-row kernel) must
+produce identical spans, ranks, and reductions on identical input order,
+and closure images that insert as the same row.
 """
 
 from fractions import Fraction as Q
@@ -11,17 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflag._pure import FieldSpanBasis, FractionSpanBasis
-from qflag.lin import KeyIndexer, span_basis
+from qflag.lin import KeyIndexer, kernel_name, span_basis
 from qflag.qscalar import FixedField, QScalar, SymbolicField
 
-try:
-    from qflag._speedups import FractionSpanBasis as CompiledSpanBasis
-except ImportError:  # extension not built in this environment
-    CompiledSpanBasis = None
-
 IMPLS = [FieldSpanBasis, FractionSpanBasis]
-if CompiledSpanBasis is not None:
-    IMPLS.append(CompiledSpanBasis)
 
 
 def _dense_rank(vectors, n):
@@ -105,8 +99,43 @@ def test_span_basis_selects_by_field():
     sym = span_basis(SymbolicField())
     assert isinstance(sym, FieldSpanBasis)
     fixed = span_basis(FixedField(Q(1, 2)))
-    assert isinstance(fixed, (FractionSpanBasis,) + (
-        (CompiledSpanBasis,) if CompiledSpanBasis is not None else ()))
+    assert isinstance(fixed, FractionSpanBasis)
+    assert kernel_name() == "pure"
+
+
+action_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 7),
+                       st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=9)), max_size=4),
+    min_size=8, max_size=8)
+
+
+@settings(max_examples=60)
+@given(vector_lists, action_lists)
+def test_images_are_multiples_of_the_exact_image(vecs, acts):
+    """For every stored row r, the field kernel's image is exactly
+    sum_k r[k] * act_k and the integer kernel's image is an integer multiple
+    of it by one non-zero factor, so both insert as the same row."""
+    for impl in IMPLS:
+        basis = impl()
+        actions = {k: impl.encode_action(pairs) for k, pairs in enumerate(acts)}
+        for v in vecs:
+            r = basis.insert(v)
+            if r is None:
+                continue
+            want = {}
+            for k, c in r.items():
+                for j, f in acts[k]:
+                    want[j] = want.get(j, Q(0)) + c * f
+            want = {j: c for j, c in want.items() if c}
+            got = basis.image(r, actions.__getitem__)
+            assert got.keys() == want.keys()
+            if impl is FieldSpanBasis:
+                assert got == want
+            elif got:
+                assert all(type(n) is int for n in got.values())
+                ratio = {Q(n) / want[j] for j, n in got.items()}
+                assert len(ratio) == 1 and 0 not in ratio
 
 
 def test_key_indexer_is_first_seen_order():

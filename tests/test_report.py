@@ -157,6 +157,27 @@ def test_emit_writes_file_and_exits_zero(tmp_path, capsys):
     assert "verdict: pass" in capsys.readouterr().out
 
 
+def test_emit_counts_and_warns_on_skipped_checks(capsys):
+    rep = run_suite(CaseConfig("A", 1, cap=2,
+                               only=("projection", "cycle")))
+    skipped = sum(r.status == "skipped" for r in rep.records)
+    assert skipped >= 2
+    assert emit_report(rep, None) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"skipped: {skipped}" in lines
+    warning = [ln for ln in lines if ln.startswith("warning:")]
+    assert len(warning) == 1 and str(skipped) in warning[0]
+    assert lines[-1] == "verdict: pass"
+
+
+def test_emit_states_zero_skipped_without_warning(capsys):
+    rep = run_suite(CaseConfig("A", 1, only=("pairing",)))
+    assert emit_report(rep, None) == 0
+    out = capsys.readouterr().out
+    assert "skipped: 0" in out.splitlines()
+    assert "warning" not in out
+
+
 def test_emit_exit_one_on_failure(capsys):
     rep = Report({"family": "A", "rank": 1, "subset": [], "q": "symbolic"},
                  [CheckRecord("x", "-", "fail", note="boom")])

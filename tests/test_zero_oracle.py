@@ -5,7 +5,9 @@ with the raising closure of the vector legs (see the `qflag.coord`
 docstring).  The oracle below asks the same question directly: close
 every stacked vector leg under all E_i *and* F_i, which spans U.v, and pair the aggregated functional with every row.  It exists
 only here, as a reference; both must give the same verdict on zero and
-non-zero inputs, 1-leg and 2-leg.
+non-zero inputs, 1-leg and 2-leg.  It builds its images from the field's
+own scalars and inserts them as they are, independently of the kernels'
+encoded actions and images that `tensor_zero_test` uses.
 """
 
 import random
@@ -194,10 +196,13 @@ def two_leg_inputs(rng, ctx, n):
 
 
 # case -> (flag_context args, field, 1-leg inputs, 2-leg inputs); the
-# oracle's two-sided closures cost up to a few seconds per rank-two input
+# oracle's two-sided closures cost up to a few seconds per rank-two input.
+# At q = 2/3 the powers q^e have numerators and denominators other than 1,
+# which exercises the integer images' running lcm in both directions.
 CASES = {
     "A1-symbolic": (("A", 1, ()), SymbolicField, 16, 8),
     "A2-S2-symbolic": (("A", 2, (2,)), SymbolicField, 8, 4),
+    "A2-S2-q23": (("A", 2, (2,)), lambda: FixedField(Fraction(2, 3)), 8, 4),
     "B2-S1-q12": (("B", 2, (1,)), lambda: FixedField(Fraction(1, 2)), 12, 6),
 }
 
