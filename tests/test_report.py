@@ -138,6 +138,7 @@ def test_kahler_phase_runs_once_even_when_evaluated():
 @pytest.mark.parametrize("name,cfg", [
     ("a1_symbolic", CaseConfig("A", 1)),
     ("a2_s2_q12", CaseConfig("A", 2, (2,), q_values=("1/2",))),
+    ("a2_s2_symbolic", CaseConfig("A", 2, (2,))),
 ])
 def test_golden_report(name, cfg):
     got = comparison_body(run_suite(cfg).as_dict())
