@@ -182,11 +182,6 @@ def root_to_fund(rs: RootSystem, alpha):
         for i in range(rs.rank))
 
 
-def form_ww(rs: RootSystem, lam, mu):
-    """(lam, mu) for two weights in fundamental coordinates."""
-    return form_rw(rs, fund_to_root(rs, lam), mu)
-
-
 def coroot_pairing(rs: RootSystem, alpha, lam):
     """<lam, alpha^vee> = 2 (alpha, lam)/(alpha, alpha); alpha in simple-root
     coordinates, lam in fundamental coordinates."""

@@ -57,17 +57,8 @@ class ClassicalKahler:
         self.nil_roots = list(ctx.par.nil_pos)
 
         # simple raising operators as dense matrices
-        def col_matrix(cols):
-            A = [[Fraction(0)] * dim for _ in range(dim)]
-            for k in range(dim):
-                for l, c in cols[k]:
-                    A[l][k] = c
-            return A
-
-        e = {}
-        for i in range(1, rs.rank + 1):
-            e[cartan.simple_root(rs, i)] = col_matrix(
-                [m.e_col(i, k) for k in range(dim)])
+        e = {cartan.simple_root(rs, i): m.matrix("E", i)
+             for i in range(1, rs.rank + 1)}
         # bracket recursion in height order (faithful module: a nonzero root
         # vector stays nonzero)
         for gamma in rs.pos_roots:

@@ -779,11 +779,6 @@ class CoordElem:
         coeffs = cartan.two_rho_root(self.alg.rs)
         return self.act_left(("Kvec", coeffs)).act_right(("Kvec", coeffs))
 
-    def size(self):
-        return (len(self.terms),
-                sum(len(f) for _, f, _ in self.terms),
-                sum(len(v) for _, _, v in self.terms))
-
 
 def _outer(a, b):
     out = {}

@@ -2,11 +2,16 @@
 
 Two modes share one interface:
 
-* symbolic -- elements of Q(s) with s = q^(1/2), represented canonically as
-  s^shift * num(s)/den(s) where num and den are polynomials with nonzero
-  constant term, gcd(num, den) = 1, and den has coprime integer coefficients
-  with positive constant term.  This makes equality a tuple comparison and
-  string forms deterministic.
+* symbolic -- elements of Q(s) with s = q^(1/2), stored as
+  s^shift * num(s)/den(s): num and den are tuples of ints (index = degree)
+  with nonzero constant terms, coprime in Z[s] (no common factor of
+  positive degree, no common integer factor of all coefficients), and
+  den(0) > 0; zero is (0, (0,), (1,)).  The form is unique: Z[s] is a
+  unique factorization domain with s prime (Gauss's lemma; Knuth, TAOCP
+  vol. 2, 4.6.1), so two such forms of one element share the shift and
+  agree up to a sign, which den(0) > 0 fixes.  Equality is a tuple
+  comparison, the stored form is the printed form, and `_reduce` is the
+  one routine that brings s^k * num/den into it.
 * fixed -- q is a concrete rational in (0, 1]; elements are fractions.Fraction
   and arithmetic is the stdlib's.  q = 1 is the classical degeneration.
 
@@ -29,7 +34,7 @@ from math import lcm as _ilcm
 Q = Fraction
 
 # ---------------------------------------------------------------------------
-# polynomial helpers: a polynomial is a tuple of Fractions, index = degree
+# polynomial helpers: a polynomial is a tuple of ints, index = degree
 
 
 def _trim(c):
@@ -45,14 +50,10 @@ def _padd(a, b):
                   for i in range(n)])
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [Q(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -62,65 +63,71 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pscale(a, c):
-    return _trim([x * c for x in a])
-
-
-def _pmod(a, b):
-    """Remainder of a by b (b nonzero), over Q."""
-    a = list(a)
+def _pdivmod(a, b):
+    """Pseudo-division in Z[s] by nonzero b: (m, quo, rem) with
+    m*a = quo*b + rem, deg rem < deg b and m a positive integer.  m grows
+    only when a quotient coefficient would not be an integer, so m = 1
+    whenever b divides a in Z[s]."""
+    r = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(a):
-        a = list(_trim(a))
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / lb
-        k = len(a) - 1 - db
+    quo = [0] * max(len(r) - db, 0)
+    m = 1
+    while len(r) > db:
+        c, k = r[-1], len(r) - 1 - db
+        if c % lb:
+            f = abs(lb) // _igcd(c, lb)
+            m *= f
+            r = [x * f for x in r]
+            quo = [x * f for x in quo]
+            c *= f
+        c //= lb
+        quo[k] = c
         for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a = a[:-1]
-    return _trim(a)
+            r[k + i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return m, tuple(quo), tuple(r)
 
 
-def _pdiv_exact(a, b):
-    """Exact quotient a/b; raises if the division leaves a remainder."""
-    if not a:
-        return ()
-    out = [Q(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while _trim(a) and len(_trim(a)) - 1 >= db:
-        a = list(_trim(a))
-        c = a[-1] / lb
-        k = len(a) - 1 - db
-        out[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a = a[:-1]
-    if _trim(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(out)
+def _primitive(c):
+    g = _igcd(*c)
+    return tuple(x // g for x in c) if g > 1 else c
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q (1 for coprime, () only if both are zero)."""
-    a, b = _trim(a), _trim(b)
+    """gcd of nonzero a and b in Z[s], primitive and up to sign, by the
+    primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pmod(a, b)
-    if not a:
-        return ()
-    return _pscale(a, 1 / a[-1])
+        a, b = b, _primitive(_pdivmod(a, b)[2])
+    return a
 
 
-def _int_normal_factor(c):
-    """Rational t > 0 (up to sign fix) such that c*t has coprime integer
-    coefficients and positive constant term.  c must have c[0] != 0."""
-    L = _ilcm(*(x.denominator for x in c)) if c else 1
-    G = _igcd(*(abs((x * L).numerator) for x in c)) or 1
-    t = Q(L, G)
-    if c[0] * t < 0:
-        t = -t
-    return t
+def _reduce(shift, num, den):
+    """The canonical (shift, num, den) of s^shift * num/den, for integer
+    coefficient sequences num and den with den nonzero."""
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator polynomial")
+    if not num:
+        return 0, (0,), (1,)
+    i = j = 0
+    while not num[i]:
+        i += 1
+    while not den[j]:
+        j += 1
+    shift, num, den = shift + i - j, num[i:], den[j:]
+    if len(num) > 1 and len(den) > 1:
+        g = _pgcd(num, den)
+        if len(g) > 1:  # primitive, so both quotients lie in Z[s]
+            num, den = _pdivmod(num, g)[1], _pdivmod(den, g)[1]
+    c = _igcd(*num, *den)
+    if den[0] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return shift, num, den
 
 
 def _peval(c, x):
@@ -153,6 +160,10 @@ def _pstr(c, var="s"):
     return out
 
 
+def _shift_poly(c, k):
+    return (0,) * k + c
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -161,52 +172,33 @@ class QScalar:
 
     __slots__ = ("shift", "num", "den")
 
-    def __init__(self, shift, num, den, _raw=False):
-        if _raw:
-            self.shift, self.num, self.den = shift, num, den
-            return
-        num = _trim(tuple(Q(x) for x in num))
-        den = _trim(tuple(Q(x) for x in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.shift, self.num, self.den = 0, (Q(0),), (Q(1),)
-            return
-        while not num[0]:
-            num = num[1:]
-            shift += 1
-        while not den[0]:
-            den = den[1:]
-            shift -= 1
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        t = _int_normal_factor(den)
-        num = _pscale(num, t)
-        den = _pscale(den, t)
-        self.shift, self.num, self.den = shift, num, den
+    def __init__(self, shift, num, den):
+        """s^shift * num(s)/den(s) for int or Fraction coefficients."""
+        num = [Q(x) for x in num]
+        den = [Q(x) for x in den]
+        L = _ilcm(*(x.denominator for x in num + den))
+        self.shift, self.num, self.den = _reduce(
+            shift, [x.numerator * (L // x.denominator) for x in num],
+            [x.numerator * (L // x.denominator) for x in den])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_fraction(cls, r):
         r = Q(r)
-        return cls(0, (Q(r.numerator),), (Q(r.denominator),))
+        return _new(0, (r.numerator,), (r.denominator,))
 
     @classmethod
     def s_power(cls, k):
-        return cls(k, (Q(1),), (Q(1),))
+        return _new(k, (1,), (1,))
 
     @classmethod
     def laurent(cls, coeffs):
         """Sum of c * s^k for k, c in the dict coeffs."""
         if not coeffs:
-            return cls.from_fraction(0)
-        lo = min(coeffs)
-        hi = max(coeffs)
-        num = [Q(coeffs.get(k, 0)) for k in range(lo, hi + 1)]
-        return cls(lo, num, (Q(1),))
+            return _ZERO
+        lo, hi = min(coeffs), max(coeffs)
+        return cls(lo, [coeffs.get(k, 0) for k in range(lo, hi + 1)], (1,))
 
     # -- basic predicates ---------------------------------------------------
 
@@ -221,10 +213,8 @@ class QScalar:
             other.shift, other.num, other.den)
 
     def __hash__(self):
-        if not self:
-            return hash(Q(0))
-        if self.den == (Q(1),) and self.shift == 0 and len(self.num) == 1:
-            return hash(self.num[0])  # agree with Fraction on constants
+        if self.shift == 0 and len(self.num) == 1 and len(self.den) == 1:
+            return hash(Q(self.num[0], self.den[0]))  # agree with Fraction
         return hash((self.shift, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
@@ -240,14 +230,12 @@ class QScalar:
         m = min(self.shift, other.shift)
         a = _pmul(_shift_poly(self.num, self.shift - m), other.den)
         b = _pmul(_shift_poly(other.num, other.shift - m), self.den)
-        return QScalar(m, _padd(a, b), _pmul(self.den, other.den))
+        return _new(*_reduce(m, _padd(a, b), _pmul(self.den, other.den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self:
-            return self
-        return QScalar(self.shift, _pneg(self.num), self.den, _raw=True)
+        return _new(self.shift, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -267,16 +255,20 @@ class QScalar:
             return NotImplemented
         if not self or not other:
             return _ZERO
-        return QScalar(self.shift + other.shift,
-                       _pmul(self.num, other.num),
-                       _pmul(self.den, other.den))
+        return _new(*_reduce(self.shift + other.shift,
+                             _pmul(self.num, other.num),
+                             _pmul(self.den, other.den)))
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Swap num and den; they stay coprime, so only the sign moves."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        return QScalar(-self.shift, self.den, self.num)
+        num, den = self.den, self.num
+        if den[0] < 0:
+            num, den = tuple(-x for x in num), tuple(-x for x in den)
+        return _new(-self.shift, num, den)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -327,32 +319,32 @@ class QScalar:
         nv = _peval(self.num[0::2], q0)
         return q0 ** (self.shift // 2) * nv / dv
 
-    # -- textual form: p(s)/r(s) with integer coefficients -------------------
+    # -- textual form: p(s)/r(s), the stored integer coefficients ------------
 
     def __str__(self):
         num, den = self.num, self.den
         if len(num) == 1 and len(den) == 1 and self.shift == 0:
-            return str(num[0] / den[0])
+            return str(Q(num[0], den[0]))
         if self.shift >= 0:
             num = _shift_poly(num, self.shift)
         else:
             den = _shift_poly(den, -self.shift)
-        L = _ilcm(*(x.denominator for x in num))
-        num = _pscale(num, L)
-        den = _pscale(den, L)
-        if den == (Q(1),):
+        if den == (1,):
             return _pstr(num)
         return f"({_pstr(num)})/({_pstr(den)})"
 
     __repr__ = __str__
 
 
-def _shift_poly(c, k):
-    return (Q(0),) * k + tuple(c)
+def _new(shift, num, den):
+    """A QScalar from a (shift, num, den) already in canonical form."""
+    x = object.__new__(QScalar)
+    x.shift, x.num, x.den = shift, num, den
+    return x
 
 
-_ZERO = QScalar(0, (Q(0),), (Q(1),), _raw=True)
-_ONE = QScalar(0, (Q(1),), (Q(1),), _raw=True)
+_ZERO = _new(0, (0,), (1,))
+_ONE = _new(0, (1,), (1,))
 
 
 def _coerce(x):

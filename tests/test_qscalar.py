@@ -6,6 +6,7 @@ in plain Fraction arithmetic at concrete q.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,31 @@ class TestFieldLaws:
         for _ in range(abs(k)):
             expect = expect * base
         assert a ** k == expect
+
+
+def _poly_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200)
+    @given(shifts, polys, nonzero_polys, st.integers(-6, 6).filter(bool),
+           polys.filter(lambda c: c[0] != 0))
+    def test_common_factors_cancel_to_one_integer_form(self, shift, num, den,
+                                                       k, p):
+        x = QScalar(shift, num, den)
+        kp = [k * c for c in p]
+        y = QScalar(shift, _poly_times(kp, num), _poly_times(kp, den))
+        assert y == x
+        assert str(y) == str(x)
+        for z in (x, y):
+            assert all(type(c) is int for c in z.num + z.den)
+            assert gcd(*z.num, *z.den) == 1
+            assert z.den[0] > 0
 
 
 class TestEvaluation:

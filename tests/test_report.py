@@ -124,12 +124,35 @@ def test_cap_overrun_downgrades_to_skipped():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("cap,trace_status", [(2, "skipped"), (3, "pass")])
+def test_matrix_unit_laws_are_recorded_independently(cap, trace_status):
+    # the product law overruns both caps; the star law needs no closure and
+    # the trace law's closures need dimension 3
+    rep = run_suite(CaseConfig("A", 1, cap=cap, only=("matrixunits",)))
+    by_name = {r.name: r for r in rep.records}
+    assert by_name["matrixunits.product"].status == "skipped"
+    assert "cap" in by_name["matrixunits.product"].note
+    assert by_name["matrixunits.star"].status == "pass"
+    trace = by_name["matrixunits.trace"]
+    assert trace.status == trace_status
+    assert ("cap" in trace.note) == (trace_status == "skipped")
+    assert rep.verdict == "pass"
+
+
 def test_kahler_phase_runs_once_even_when_evaluated():
     rep = run_suite(CaseConfig("A", 1, q_values=("1/2", "2/3"),
                                only=("kahler",)))
     names = [r.name for r in rep.records]
     assert names.count("hkr.match") == 1
     assert all(r.q == "classical" for r in rep.records)
+
+
+@pytest.mark.parametrize("family,rank,subset", [("B", 2, (1,)),
+                                                ("A", 3, (2, 3))])
+def test_symbolic_suite_passes_beyond_a1_a2(family, rank, subset):
+    rep = run_suite(CaseConfig(family, rank, subset))
+    assert rep.verdict == "pass"
+    assert [r.name for r in rep.records if r.status == "skipped"] == []
 
 
 # -- golden regression ---------------------------------------------------------
