@@ -46,7 +46,28 @@ functional side reads the transposed tables).  The vector closures are
 cached per stacked leg; the functional closure pairs each new row at once
 and stops at the first non-zero value.  The certificate is
 (dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
-dim (U- (x) U-)^T D) for two.
+dim (U- (x) U-)^T D) for two.  A closure whose dimension exceeds the cap
+raises CapExceeded, checked after every kept insert, seeds included.
+
+Batches.  Entrywise families of identities (the (i, j) entries of one
+matrix-unit product, all entries of P^2 = P) share their stacked vector
+legs and differ only in the functional.  batch_zero_test therefore closes
+the functionals f_1, ..., f_m of all members with the same signature (the
+sorted (words, vector legs) group keys) in one lowering closure, seeded
+with the weight components of every f_t in member order:
+
+* Soundness.  The joint closure (U-)^T span{f_1, ..., f_m} contains each
+  (U-)^T f_t.  If every joint row is orthogonal to W, so is every row of
+  each member's own closure, and each f_t vanishes on U.v by the
+  reduction above.  Each member then gets the certificate
+  (dim U+v, dim (U-)^T span{f_1, ..., f_m}) (two raising dimensions for
+  two legs).
+* Cap.  A member's own closure lies inside the joint one, so a joint
+  closure that never exceeds the cap bounds every member's closure too.
+* Fallback.  If the joint closure pairs non-zero or overruns the cap,
+  every member is tested on its own exactly as a one-member call, so
+  per-member verdicts, witnesses and cap overruns do not depend on the
+  batching.
 
 Two shortcuts keep closures cheap without changing any result:
 
@@ -87,8 +108,11 @@ class ZeroCertificate:
     a 1-leg test and (dim U+v0, dim U+v1, dim (U- (x) U-)^T D) for a 2-leg
     test: the raising closure of each stacked vector leg, then the lowering
     closure of the functional (on a non-zero verdict, the part built before
-    the first non-zero pairing).  It is () when the terms cancel outright;
-    groups counts the distinct (words, vector legs) after cancellation."""
+    the first non-zero pairing).  A zero verdict of a batch member that
+    shared a joint closure carries the joint dimension
+    dim (U-)^T span{f_1, ..., f_m} instead (see the module docstring).  It
+    is () when the terms cancel outright; groups counts the distinct
+    (words, vector legs) after cancellation."""
 
     zero: bool
     closure_dims: tuple[int, ...]
@@ -382,6 +406,52 @@ class CoordAlgebra:
 
     # -- zero testing ------------------------------------------------------------
 
+    def batch_zero_test(self, batch, cap=DEFAULT_CAP):
+        """Exact zero tests for a batch of sums of tensors of elements (1 or
+        2 legs); each member is an iterable of (coeff, (elem_0, ...,
+        elem_n)) as in tensor_zero_test.  Members are drawn one at a time,
+        so a generator batch never holds more than the aggregated
+        functionals.  Returns one ZeroCertificate per member, in order.
+
+        Members with the same stacked vector legs share one joint lowering
+        closure (see the module docstring); if it pairs non-zero or
+        overruns the cap, each of them is tested on its own, so verdicts,
+        witnesses and cap overruns are those of one-member calls.
+        """
+        if getattr(self.field, "is_classical", False):
+            raise ValueError(
+                "zero tests require symbolic q or rational 0 < q < 1 "
+                "(weight separation fails at q = 1)")
+        certs = []
+        families = {}
+        for tensor_terms in batch:
+            order, groups = self._group_terms(tensor_terms)
+            if groups is None:
+                certs.append(ZeroCertificate(True, (), 0))
+            else:
+                families.setdefault(order, []).append((len(certs), groups))
+                certs.append(None)
+        for order, members in families.items():
+            nsides = len(order[0][0])
+            legs = [self._raising_closure(
+                tuple((k[0][s], k[1][s]) for k in order), cap)
+                for s in range(nsides)]
+            joint = None
+            if len(members) > 1:
+                try:
+                    joint = self._lowering_test(
+                        order, legs, [f for _, f in members], cap)
+                except CapExceeded:
+                    pass
+            for at, groups in members:
+                if joint is not None and joint.zero:
+                    certs[at] = ZeroCertificate(True, joint.closure_dims,
+                                                joint.groups)
+                else:
+                    certs[at] = self._lowering_test(order, legs, [groups],
+                                                    cap)
+        return certs
+
     def tensor_zero_test(self, tensor_terms, cap=DEFAULT_CAP):
         """Exact zero test for sums of tensors of elements (1 or 2 legs).
 
@@ -392,11 +462,16 @@ class CoordAlgebra:
         functional row that pairs non-trivially, so its last dimension is
         the size of the closure built so far.
         """
-        field = self.field
-        if getattr(field, "is_classical", False):
-            raise ValueError(
-                "zero tests require symbolic q or rational 0 < q < 1 "
-                "(weight separation fails at q = 1)")
+        return self.batch_zero_test([tensor_terms], cap)[0]
+
+    def is_zero(self, elem: CoordElem, cap=DEFAULT_CAP) -> ZeroCertificate:
+        return self.tensor_zero_test([(self.field.one, (elem,))], cap)
+
+    def _group_terms(self, tensor_terms):
+        """Aggregate a tensor sum by (words, vector legs): returns the sorted
+        group keys (the stacked vector legs) and {key: {fkeys: coeff}}, or
+        ((), None) when every functional cancels."""
+        zero = self.field.zero
         nsides = None
         groups = {}
         for coeff, legs in tensor_terms:
@@ -405,37 +480,40 @@ class CoordAlgebra:
             elif len(legs) != nsides:
                 raise ValueError("mixed tensor degrees in one zero test")
             for combo in _product([e.terms for e in legs]):
-                c0 = coeff
                 words = tuple(t[0] for t in combo)
                 vecs = tuple(_canon_vec(t[2]) for t in combo)
                 g = groups.setdefault((words, vecs), {})
                 for fkeys, fc in _product_items([t[1] for t in combo]):
-                    nv = g.get(fkeys, field.zero) + c0 * fc
+                    nv = g.get(fkeys, zero) + coeff * fc
                     if nv:
                         g[fkeys] = nv
                     else:
                         g.pop(fkeys, None)
         groups = {k: v for k, v in groups.items() if v}
         if nsides is None or not groups:
-            return ZeroCertificate(True, (), 0)
+            return (), None
         if nsides > 2:
             raise NotImplementedError(
                 "zero tests are implemented for 1- and 2-leg tensors")
-        order = sorted(groups, key=_group_sort_key)
+        return tuple(sorted(groups, key=_group_sort_key)), groups
 
-        # vector side: U+ closure of each stacked leg, rows by weight
-        legs = [self._raising_closure(
-            tuple((k[0][s], k[1][s]) for k in order), cap)
-            for s in range(nsides)]
+    def _lowering_test(self, order, legs, funs, cap):
+        """Close the weight components of every functional in funs (group
+        dicts over the stacked legs `order`, in order) under the transposed
+        F_i on each leg, pairing every new row at once with the raising
+        closure rows `legs` of its weight; stop at the first non-zero
+        value.  Keys are (block, k_0, ..., k_n-1).  A leg key that the
+        leg's closure never indexed has coefficient zero in every closure
+        row, so its entries are left out of the pairing rather than added
+        to the cached closure's indexer."""
+        field = self.field
+        nsides = len(legs)
         dims = tuple(dim for _, _, dim in legs)
-
-        # functional side: keys (block, k_0, ..., k_n-1), closed under the
-        # transposed F_i on each leg; every new row is paired at once
         words = [k[0] for k in order]
         indexer = KeyIndexer()
-        seeds = self._weight_split(indexer, words, (
-            ((gi,) + fkeys, c)
-            for gi, k in enumerate(order) for fkeys, c in groups[k].items()))
+        seeds = [v for fun in funs for v in self._weight_split(
+            indexer, words, (((gi,) + fkeys, c) for gi, k in enumerate(order)
+                             for fkeys, c in fun[k].items()))]
         lowering = [(s, ("F", i)) for s in range(nsides)
                     for i in range(1, self.rs.rank + 1)]
         leg_keys = {}
@@ -449,9 +527,10 @@ class CoordAlgebra:
                 if ps is None:
                     bk = indexer.key(pk)
                     ps = leg_keys[pk] = tuple(
-                        ix.index((bk[0], bk[1 + s]))
+                        ix.get((bk[0], bk[1 + s]))
                         for s, (ix, _, _) in enumerate(legs))
-                tensor[ps] = c
+                if None not in ps:
+                    tensor[ps] = c
             wt = self._packed_weight(indexer, words, next(iter(row)))
             val = _first_nonzero(field, tensor, [
                 by_wt.get(wt[s:s + 1], ())
@@ -462,9 +541,6 @@ class CoordAlgebra:
                     witness=f"pairs to {val} on a closure "
                     + ("vector" if nsides == 1 else "pair"))
         return ZeroCertificate(True, dims + (fdim,), len(order))
-
-    def is_zero(self, elem: CoordElem, cap=DEFAULT_CAP) -> ZeroCertificate:
-        return self.tensor_zero_test([(self.field.one, (elem,))], cap)
 
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
@@ -527,32 +603,33 @@ class CoordAlgebra:
         or transposed on functionals when dual is set.  Weight-homogeneous
         seeds give weight-homogeneous rows, because every generator moves
         weight by a fixed root.  Images are formed by the kernel in its own
-        scalars from the memoized encoded actions."""
+        scalars from the memoized encoded actions.  The cap is checked after
+        every kept insert, seeds included."""
         basis = span_basis(self.field)
         actions = [self._leg_action(indexer, words, s, gen, dual)
                    for s, gen in gens]
         queue = []
-        for v in seeds:
+
+        def candidates():
+            yield from seeds
+            qi = 0
+            while qi < len(queue):
+                v = queue[qi]
+                qi += 1
+                for act in actions:
+                    yield basis.image(v, act)
+
+        for v in candidates():
+            if not v:
+                continue
             r = basis.insert(v)
             if r is not None:
+                if basis.dim > cap:
+                    raise CapExceeded(
+                        f"closure dimension exceeded the cap {cap}; "
+                        "raise --cap or use an evaluated (fixed-q) run")
                 queue.append(r)
                 yield r
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for act in actions:
-                img = basis.image(v, act)
-                if not img:
-                    continue
-                r = basis.insert(img)
-                if r is not None:
-                    if basis.dim > cap:
-                        raise CapExceeded(
-                            f"closure dimension exceeded the cap {cap}; "
-                            "raise --cap or use an evaluated (fixed-q) run")
-                    queue.append(r)
-                    yield r
 
 
 # ---------------------------------------------------------------------------

@@ -87,17 +87,21 @@ def flag_context(family, rank, subset, field) -> FlagContext:
 
 def verify_idempotent(ctx: FlagContext, pairs=None, cap=DEFAULT_CAP):
     """Check sum_k N_k phat[i,k] phat[k,j] = phat[i,j] for the given (i,j)
-    pairs (all pairs by default).  Returns {(i,j): ZeroCertificate}; the
-    expensive closure is shared by every pair."""
+    pairs (all pairs by default).  Returns {(i,j): ZeroCertificate}; all
+    pairs are tested as one batch, so they share one vector closure and,
+    when every pair is zero, one functional closure."""
     if pairs is None:
         pairs = [(i, j) for i in range(ctx.dim) for j in range(ctx.dim)]
-    out = {}
-    for i, j in pairs:
+    else:
+        pairs = list(pairs)
+
+    def law(i, j):
         lhs = ctx.alg.zero()
         for k in range(ctx.dim):
             lhs = lhs + ctx.norms[k] * (ctx.phat(i, k) * ctx.phat(k, j))
-        out[(i, j)] = ctx.alg.is_zero(lhs - ctx.phat(i, j), cap=cap)
-    return out
+        return [(ctx.field.one, (lhs - ctx.phat(i, j),))]
+    certs = ctx.alg.batch_zero_test((law(i, j) for i, j in pairs), cap=cap)
+    return dict(zip(pairs, certs))
 
 
 def verify_selfadjoint(ctx: FlagContext) -> bool:
@@ -160,21 +164,29 @@ def verify_matrix_units(ctx: FlagContext, indices=None, cap=DEFAULT_CAP,
     Returns {"product": {(a,b,c,d,i,j): cert}, "star": bool,
     "trace": {(a,b): cert}}, restricted to the keys in laws.  Each law is
     checked on its own, so a cap overrun in one leaves the others intact.
+    The product identities of one (a,b,c,d) share their vector legs and are
+    tested as one batch; batches are built and tested one at a time.
     """
     idx = list(indices) if indices is not None else list(range(ctx.dim))
     F = ctx.field
     alg = ctx.alg
     out = {}
     if "product" in laws:
-        product = out["product"] = {}
-        for a, b, c, d, i, j in itertools.product(idx, repeat=6):
+        def product_law(a, b, c, d, i, j):
             lhs = alg.zero()
             for k in range(ctx.dim):
                 lhs = lhs + ctx.norms[k] * (
                     ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
             if a == d:
                 lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
-            product[(a, b, c, d, i, j)] = alg.is_zero(lhs, cap=cap)
+            return [(F.one, (lhs,))]
+        product = out["product"] = {}
+        entries = list(itertools.product(idx, repeat=2))
+        for abcd in itertools.product(idx, repeat=4):
+            certs = alg.batch_zero_test(
+                (product_law(*abcd, i, j) for i, j in entries), cap=cap)
+            product.update(
+                (abcd + ij, cert) for ij, cert in zip(entries, certs))
     if "star" in laws:
         out["star"] = all(
             ctx.munit(a, b, j, i).star().simplify().canonical()

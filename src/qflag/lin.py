@@ -42,6 +42,10 @@ class KeyIndexer:
             self._keys.append(key)
         return i
 
+    def get(self, key):
+        """The index of key, or None if it was never indexed."""
+        return self._idx.get(key)
+
     def key(self, i):
         return self._keys[i]
 

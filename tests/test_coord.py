@@ -400,6 +400,16 @@ def test_zero_test_cap(a1):
         alg2.is_zero(y, cap=2)
 
 
+def test_zero_test_cap_counts_seeds():
+    # the stacked leg e_0 (+) e_0(x)e_0 has two weight components, both
+    # highest weight vectors: the raising closure is its two seeds alone
+    alg, mid = make("A", 1, (1,))
+    x = alg.mc(mid, 0, 0)
+    with pytest.raises(CapExceeded):
+        alg.is_zero(x + x * x, cap=1)
+    assert alg.is_zero(x + x * x, cap=2).closure_dims == (2, 1)
+
+
 def test_zero_test_determinism(a1):
     alg, mid = a1
     diff = alg.unit() - phat(alg, mid, 0, 0) - phat(alg, mid, 1, 1)

@@ -156,6 +156,23 @@ def test_matrix_units_a2s2_all_indices(a2s2):
     assert all(c.zero for c in res["trace"].values())
 
 
+@pytest.mark.parametrize("family,rank,subset,field", [
+    ("B", 2, (1,), lambda: FixedField(Q(1, 2))),
+    ("A", 3, (2, 3), SymbolicField),
+], ids=["B2-S1-q12", "A3-S23-symbolic"])
+def test_matrix_units_dim4_all_indices(family, rank, subset, field):
+    """All 4^6 product identities of a 4-dimensional module, with the star
+    and trace laws; a cap overrun would raise instead of skipping."""
+    ctx = fp.flag_context(family, rank, subset, field())
+    assert ctx.dim == 4
+    res = fp.verify_matrix_units(ctx)
+    assert len(res["product"]) == 4 ** 6
+    assert all(c.zero for c in res["product"].values())
+    assert res["star"] is True
+    assert len(res["trace"]) == 16
+    assert all(c.zero for c in res["trace"].values())
+
+
 def test_matrix_units_contain_projection(a1):
     assert a1.munit(0, 0, 0, 1).simplify().canonical() == \
         a1.phat(0, 1).simplify().canonical()

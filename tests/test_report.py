@@ -77,8 +77,9 @@ def test_a1_record_names_in_order(a1_report):
 
 def test_certificate_sizes_recorded(a1_report):
     rec = {r.name: r for r in a1_report.records}
-    # distinct dims over the four (dim U+v, dim (U-)^T f) certificates
-    assert rec["projection.idempotent"].cert_sizes == (1, 2, 3)
+    # the four pairs are one batch that passes jointly, so each carries
+    # (dim U+v, dim (U-)^T span{f_1, ..., f_4}) = (3, 4)
+    assert rec["projection.idempotent"].cert_sizes == (3, 4)
     assert rec["cycle.normalized"].cert_sizes
 
 

@@ -1,15 +1,20 @@
-"""The triangular zero test against an independent two-sided oracle.
+"""The triangular zero test and its batches against an independent
+two-sided oracle.
 
 `CoordAlgebra.tensor_zero_test` pairs the lowering closure of the functional
-with the raising closure of the vector legs (see the `qflag.coord`
-docstring).  The oracle below asks the same question directly: close
-every stacked vector leg under all E_i *and* F_i, which spans U.v, and pair the aggregated functional with every row.  It exists
+with the raising closure of the vector legs, and `batch_zero_test` closes
+the functionals of members that share their legs jointly (see the
+`qflag.coord` docstring).  The oracle below asks the same question
+directly: close every stacked vector leg under all E_i *and* F_i, which
+spans U.v, and pair the aggregated functional with every row.  It exists
 only here, as a reference; both must give the same verdict on zero and
-non-zero inputs, 1-leg and 2-leg.  It builds its images from the field's
-own scalars and inserts them as they are, independently of the kernels'
-encoded actions and images that `tensor_zero_test` uses.
+non-zero inputs, 1-leg and 2-leg, alone and in batches.  It builds its
+images from the field's own scalars and inserts them as they are,
+independently of the kernels' encoded actions and images that the zero
+tests use.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -22,9 +27,12 @@ from qflag.lin import KeyIndexer, span_basis
 from qflag.qscalar import FixedField, SymbolicField
 
 
+@functools.lru_cache(maxsize=4)
 def two_sided_closure(alg, sig):
     """Closure of the stacked vector legs sig ((word, vec items) blocks)
-    under every E_i and F_i, seeded by the weight components."""
+    under every E_i and F_i, seeded by the weight components.  Memoized,
+    since consecutive batch members share their legs; callers only look
+    keys up, so the cached indexer and rows never change."""
     field = alg.field
     indexer = KeyIndexer()
     words = [w for w, _ in sig]
@@ -81,14 +89,18 @@ def two_sided_is_zero(alg, tensor_terms):
              for s in range(nsides)]
     if nsides == 1:
         (ix, rows), = sides
-        fun = {ix.index((gi, fkeys[0])): c for gi, k in enumerate(order)
+        # a key the closure never indexed is zero on every row
+        fun = {ix.get((gi, fkeys[0])): c for gi, k in enumerate(order)
                for fkeys, c in groups[k].items()}
+        fun.pop(None, None)
         return not any(_dot(field, fun, row) for row in rows)
     (ix0, rows0), (ix1, rows1) = sides
     D = {}
     for gi, k in enumerate(order):
         for (k0, k1), c in groups[k].items():
-            D.setdefault(ix0.index((gi, k0)), {})[ix1.index((gi, k1))] = c
+            p0, p1 = ix0.get((gi, k0)), ix1.get((gi, k1))
+            if p0 is not None and p1 is not None:
+                D.setdefault(p0, {})[p1] = c
     for r0 in rows0:
         u = {}
         for p0, c0 in r0.items():
@@ -127,6 +139,13 @@ def _product_law(rng, ctx, tamper=False):
     n = ctx.dim
     a, b, c, d, i, j = (rng.randrange(n) for _ in range(6))
     bad = rng.randrange(n) if tamper else None
+    return _product_law_at(ctx, a, b, c, d, i, j, bad)
+
+
+def _product_law_at(ctx, a, b, c, d, i, j, bad=None):
+    """The product law at fixed indices; bad, if given, is the summand k
+    scaled by q."""
+    n = ctx.dim
     lhs = ctx.alg.zero()
     for k in range(n):
         w = ctx.norms[k]
@@ -243,3 +262,71 @@ def test_oracle_agrees_on_cycle_and_identity_twist(case):
     bad = hh.normalize(hh.twisted_boundary(hh.idempotent_cycle(ctx),
                                            twist="identity"))
     assert _agree(ctx, [list(good.terms), list(bad.terms)]) == [True, False]
+
+
+# -- batches ----------------------------------------------------------------------
+
+
+def _product_batch(ctx, abcd, tampered, z=None):
+    """One batch: the product law of abcd at every entry (i, j), in order,
+    as members that share their vector legs; tampered maps an entry to the
+    summand scaled by q.  With z, each member is the 2-leg tensor law (x) z."""
+    n = ctx.dim
+    members = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _product_law_at(ctx, *abcd, i, j, tampered.get((i, j)))
+            legs = (lhs,) if z is None else (lhs, z)
+            members.append([(ctx.field.one, legs)])
+    return members
+
+
+def _batch_agrees(ctx, members):
+    """Batch certificates against one-member calls and the oracle.  A batch
+    that passes jointly gives every member one certificate, at least as
+    large as its own; a batch with a non-zero member falls back to
+    one-member tests, so every certificate and witness is a one-member
+    call's."""
+    certs = ctx.alg.batch_zero_test(members)
+    singles = [ctx.alg.tensor_zero_test(terms) for terms in members]
+    for terms, cert, single in zip(members, certs, singles):
+        assert cert.zero == single.zero == two_sided_is_zero(ctx.alg, terms)
+    if all(c.zero for c in certs):
+        assert len({c.closure_dims for c in certs}) == 1
+        for cert, single in zip(certs, singles):
+            assert cert.closure_dims[:-1] == single.closure_dims[:-1]
+            assert cert.closure_dims[-1] >= single.closure_dims[-1]
+            assert cert.groups == single.groups
+    else:
+        assert certs == singles
+    return [c.zero for c in certs]
+
+
+def test_oracle_agrees_on_batches(case):
+    """Seeded product-law batches on one shared leg: all zero (one joint
+    closure), exactly one tampered entry (only it is non-zero, with the
+    one-member witness), a random mix, and a random 2-leg mix."""
+    name, ctx = case[0], case[1]
+    rng = random.Random(name + "batch")
+    n = ctx.dim
+    entries = [(i, j) for i in range(n) for j in range(n)]
+
+    def abcd():
+        return tuple(rng.randrange(n) for _ in range(4))
+
+    def mix():
+        bad = rng.sample(entries, rng.randint(1, len(entries) - 1))
+        return {e: rng.randrange(n) for e in bad}
+
+    assert _batch_agrees(ctx, _product_batch(ctx, abcd(), {})) == \
+        [True] * len(entries)
+    one = rng.choice(entries)
+    assert _batch_agrees(ctx, _product_batch(
+        ctx, abcd(), {one: rng.randrange(n)})) == [e != one for e in entries]
+    bad = mix()
+    assert _batch_agrees(ctx, _product_batch(ctx, abcd(), bad)) == \
+        [e not in bad for e in entries]
+    bad = mix()
+    z = _munit(rng, ctx)
+    assert _batch_agrees(ctx, _product_batch(ctx, abcd(), bad, z)) == \
+        [e not in bad for e in entries]
