@@ -55,6 +55,11 @@ class ClassicalKahler:
         m = ctx.m
         dim = m.dim
         self.nil_roots = list(ctx.par.nil_pos)
+        # only the non-Levi roots, which the block uses, must have nonzero
+        # root vectors and a normalization: a nontrivial irreducible module
+        # is faithful, so this only frees S = every simple root (rho_S = 0,
+        # the trivial module), whose block has no roots at all
+        nil = set(self.nil_roots)
 
         # simple raising operators as dense matrices
         e = {cartan.simple_root(rs, i): m.matrix("E", i)
@@ -72,8 +77,7 @@ class ClassicalKahler:
                     built = _commutator(e[alpha], e[rest])
                     if not _is_zero_matrix(built):
                         break
-                    built = None
-            if built is None:
+            if _is_zero_matrix(built) and gamma in nil:
                 raise AssertionError(f"no nonzero bracket reaches {gamma}")
             e[gamma] = built
         self.e = e
@@ -106,6 +110,8 @@ class ClassicalKahler:
                 elif H[k][k]:
                     raise AssertionError(
                         f"[e, f] acts on a {gamma}-orthogonal weight")
+            if c_val is None and gamma not in nil:
+                continue
             if c_val is None or c_val <= 0:
                 raise AssertionError(f"no positive normalization for {gamma}")
             self.c[gamma] = c_val

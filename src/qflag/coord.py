@@ -47,7 +47,8 @@ cached per stacked leg; the functional closure pairs each new row at once
 and stops at the first non-zero value.  The certificate is
 (dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
 dim (U- (x) U-)^T D) for two.  A closure whose dimension exceeds the cap
-raises CapExceeded, checked after every kept insert, seeds included.
+raises CapExceeded, checked after every kept insert, seeds included, and
+on every hit of the vector-closure cache.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
@@ -545,9 +546,12 @@ class CoordAlgebra:
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
         (word, canonical vec items) blocks: (indexer, {(weight,): rows},
-        dim).  Cached."""
+        dim).  Cached; a cached closure larger than the cap raises
+        CapExceeded, as building it afresh would."""
         cached = self._closure_cache.get(sig)
         if cached is not None:
+            if cached[2] > cap:
+                raise _cap_exceeded(cap)
             return cached
         indexer = KeyIndexer()
         words = [(w,) for w, _ in sig]
@@ -625,11 +629,14 @@ class CoordAlgebra:
             r = basis.insert(v)
             if r is not None:
                 if basis.dim > cap:
-                    raise CapExceeded(
-                        f"closure dimension exceeded the cap {cap}; "
-                        "raise --cap or use an evaluated (fixed-q) run")
+                    raise _cap_exceeded(cap)
                 queue.append(r)
                 yield r
+
+
+def _cap_exceeded(cap):
+    return CapExceeded(f"closure dimension exceeded the cap {cap}; "
+                       "raise --cap or use an evaluated (fixed-q) run")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ from qflag.repn import hw_module
 
 class FlagContext:
     """Everything needed to state and check the projection identities for
-    one (root system, parabolic subset, scalar field) choice."""
+    one (root system, parabolic subset, scalar field) choice.
+
+    The matrix-unit cores mu[a,b][i,j] (phat included, as mu[0,0]) are
+    memoized per context on (a, b, i, j), at most dim^4 one-term elements.
+    Sharing them is safe because elements are immutable values: every
+    CoordElem operation builds new term dicts and none changes its
+    operands."""
 
     def __init__(self, rs, subset, field):
         self.rs = rs
@@ -55,6 +61,7 @@ class FlagContext:
         self.wexp = tuple(cartan.form_rw(rs, two_rho, w)
                           for w in self.m.weights)
         self.trace_exp = cartan.form_rw(rs, two_rho, self.lam)
+        self._cores = {}
 
     # -- generators -------------------------------------------------------------
 
@@ -62,11 +69,17 @@ class FlagContext:
         return self.alg.mc(self.mid, i, j, barred)
 
     def phat(self, i, j):
-        return self.coeff(i, 0) * self.coeff(j, 0, barred=True)
+        return self.munit(0, 0, i, j)
 
     def munit(self, a, b, i, j):
-        """Core of the (a,b) matrix unit of the coefficient block."""
-        return self.coeff(i, b) * self.coeff(j, a, barred=True)
+        """Core of the (a,b) matrix unit of the coefficient block;
+        memoized (see the class docstring)."""
+        key = (a, b, i, j)
+        core = self._cores.get(key)
+        if core is None:
+            core = self._cores[key] = (
+                self.coeff(i, b) * self.coeff(j, a, barred=True))
+        return core
 
     def qtrace(self):
         """sum_i q^(2rho, lam_i) N_i phat[i,i]."""

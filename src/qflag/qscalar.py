@@ -11,7 +11,12 @@ Two modes share one interface:
   vol. 2, 4.6.1), so two such forms of one element share the shift and
   agree up to a sign, which den(0) > 0 fixes.  Equality is a tuple
   comparison, the stored form is the printed form, and `_reduce` is the
-  one routine that brings s^k * num/den into it.
+  one routine that brings s^k * num/den into it.  Products with a unit
+  +-s^k (most scalars of the projection laws are signed powers of s) skip
+  it: s^k * s^shift * (+-num)/den still has coprime num and den with joint
+  content 1 and the same den(0) > 0, so by uniqueness it is already the
+  canonical form, and results, strings and hashes are those of the full
+  product.
 * fixed -- q is a concrete rational in (0, 1]; elements are fractions.Fraction
   and arithmetic is the stdlib's.  q = 1 is the classical degeneration.
 
@@ -255,6 +260,10 @@ class QScalar:
             return NotImplemented
         if not self or not other:
             return _ZERO
+        if other.den == (1,) and other.num in _SIGNS:
+            return _unit_times(other, self)
+        if self.den == (1,) and self.num in _SIGNS:
+            return _unit_times(self, other)
         return _new(*_reduce(self.shift + other.shift,
                              _pmul(self.num, other.num),
                              _pmul(self.den, other.den)))
@@ -345,6 +354,15 @@ def _new(shift, num, den):
 
 _ZERO = _new(0, (0,), (1,))
 _ONE = _new(0, (1,), (1,))
+_SIGNS = ((1,), (-1,))
+
+
+def _unit_times(u, x):
+    """u * x for a unit u = +-s^k and a nonzero x, without _reduce: the
+    shift moves and the sign goes to num, so num and den stay coprime with
+    den(0) > 0, and the triple is the canonical one."""
+    num = x.num if u.num[0] == 1 else tuple(-c for c in x.num)
+    return _new(u.shift + x.shift, num, x.den)
 
 
 def _coerce(x):

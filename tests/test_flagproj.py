@@ -10,11 +10,13 @@ Hand-derived anchors used as oracles here:
 * A2, S={2}: V(1,0), dimension 3, trace exponent 2.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
 from qflag import flagproj as fp
+from qflag.hochschild import verify_cycle, verify_pairing
 from qflag.qscalar import FixedField, SymbolicField
 from qflag.repn import CapExceeded
 
@@ -194,3 +196,42 @@ def test_cap_propagates(a1):
     ctx = fp.flag_context("A", 1, (), SymbolicField())
     with pytest.raises(CapExceeded):
         fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=2)
+
+
+def test_cap_holds_on_a_cached_closure():
+    """A raising closure cached under the default cap is still overrun by a
+    smaller cap, exactly as on a fresh context."""
+    ctx = fp.flag_context("A", 1, (), SymbolicField())
+    assert fp.verify_idempotent(ctx, pairs=[(0, 0)])[(0, 0)].zero
+    with pytest.raises(CapExceeded):
+        fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=2)
+
+
+def _raw_terms(elem):
+    return [(w, dict(f), dict(v)) for w, f, v in elem.terms]
+
+
+def test_memoized_cores_survive_every_check():
+    """Every check of one context shares the memoized matrix-unit cores;
+    none of them may change a core."""
+    ctx = fp.flag_context("A", 2, (2,), SymbolicField())
+    for key in itertools.product(range(ctx.dim), repeat=4):
+        ctx.munit(*key)
+    cores = dict(ctx._cores)
+    assert len(cores) == ctx.dim ** 4
+    before = {k: (c.canonical(), _raw_terms(c)) for k, c in cores.items()}
+    assert all(c.zero for c in fp.verify_idempotent(ctx).values())
+    res = fp.verify_matrix_units(ctx)
+    assert all(c.zero for c in res["product"].values()) and res["star"]
+    assert all(fp.verify_levi_invariance(ctx).values())
+    assert verify_cycle(ctx)[0].zero
+    for a in range(1, ctx.rs.rank + 1):
+        got, want = verify_pairing(ctx, a)
+        assert got == want
+    assert ctx._cores == cores
+    for (a, b, i, j), core in cores.items():
+        assert ctx.munit(a, b, i, j) is core
+        assert (core.canonical(), _raw_terms(core)) == before[a, b, i, j]
+        fresh = ctx.coeff(i, b) * ctx.coeff(j, a, barred=True)
+        assert core.canonical() == fresh.canonical()
+        assert _raw_terms(core) == _raw_terms(fresh)

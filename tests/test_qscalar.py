@@ -123,6 +123,24 @@ class TestCanonicalForm:
             assert z.den[0] > 0
 
 
+class TestUnitProducts:
+    """The product shortcut for a unit operand +-s^k against the public
+    constructor, which always reduces."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.just(SYM.zero), qscalars()), st.integers(-6, 6),
+           st.sampled_from((1, -1)))
+    def test_unit_product_matches_reduced_constructor(self, x, k, sign):
+        m = QScalar(k, (sign,), (1,))
+        want = QScalar(m.shift + x.shift, [m.num[0] * c for c in x.num],
+                       x.den)
+        for got in (m * x, x * m):
+            assert (got.shift, got.num, got.den) == (
+                want.shift, want.num, want.den)
+            assert str(got) == str(want)
+            assert hash(got) == hash(want)
+
+
 class TestEvaluation:
     @settings(max_examples=120)
     @given(q_rationals(), q_rationals())

@@ -156,6 +156,21 @@ def test_symbolic_suite_passes_beyond_a1_a2(family, rank, subset):
     assert [r.name for r in rep.records if r.status == "skipped"] == []
 
 
+@pytest.mark.parametrize("family,rank,subset,q_values", [
+    ("A", 1, (1,), None),
+    ("A", 2, (1, 2), ("1/2",)),
+], ids=["A1-S1-symbolic", "A2-S12-q12"])
+def test_point_case_passes(family, rank, subset, q_values):
+    """S = every simple root: rho_S = 0, the module is trivial and the
+    classical block has no roots."""
+    rep = run_suite(CaseConfig(family, rank, subset, q_values=q_values))
+    assert rep.verdict == "pass"
+    assert [r.name for r in rep.records if r.status == "skipped"] == []
+    build = [r for r in rep.records if r.name == "kahler.build"]
+    assert [(r.status, r.lhs) for r in build] == [
+        ("pass", "0 non-levi roots")]
+
+
 # -- golden regression ---------------------------------------------------------
 
 
