@@ -207,31 +207,26 @@ def hkr_matrix(kk: ClassicalKahler):
     """Antisymmetrized first-order evaluation of C(P) at q = 1 over pairs of
     non-Levi roots: entry (alpha, beta) pairs the derivation along f_alpha
     (plain) / -e_alpha (conjugated) with the conjugate derivation along
-    e_beta / -f_beta."""
+    e_beta / -f_beta.  Each cycle term's leg derivatives are computed once
+    per root and shared by every entry."""
     cyc = idempotent_cycle(kk.ctx)
     roots = kk.nil_roots
 
     def neg(M):
         return [[-x for x in row] for row in M]
 
-    out = []
-    for alpha in roots:
-        row = []
-        X_plain, X_conj = kk.f[alpha], neg(kk.e[alpha])
-        for beta in roots:
-            Y_plain, Y_conj = kk.e[beta], neg(kk.f[beta])
-            tot = Fraction(0)
-            for coeff, (a0, a1, a2) in cyc.terms:
-                s = coeff * a0.counit()
-                if not s:
-                    continue
-                v = _leg_derivative(a1, X_plain, X_conj) * \
-                    _leg_derivative(a2, Y_plain, Y_conj) - \
-                    _leg_derivative(a1, Y_plain, Y_conj) * \
-                    _leg_derivative(a2, X_plain, X_conj)
-                tot += s * v
-            row.append(tot)
-        out.append(row)
+    xs = [(kk.f[alpha], neg(kk.e[alpha])) for alpha in roots]
+    ys = [(kk.e[beta], neg(kk.f[beta])) for beta in roots]
+    out = [[Fraction(0)] * len(roots) for _ in roots]
+    for coeff, (a0, a1, a2) in cyc.terms:
+        s = coeff * a0.counit()
+        if not s:
+            continue
+        dx = [(_leg_derivative(a1, *X), _leg_derivative(a2, *X)) for X in xs]
+        dy = [(_leg_derivative(a1, *Y), _leg_derivative(a2, *Y)) for Y in ys]
+        for row, (x1, x2) in zip(out, dx):
+            for j, (y1, y2) in enumerate(dy):
+                row[j] += s * (x1 * y2 - y1 * x2)
     return out
 
 

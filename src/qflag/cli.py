@@ -56,19 +56,40 @@ def _parse_q(text):
 _CONFIG_KEYS = ("type", "rank", "subset", "q", "cap", "seed", "out")
 
 
+def _config_value(key, value):
+    """A config value in the form its flag would give: integers for rank,
+    cap and seed (a JSON float or bool is rejected, not truncated), a comma
+    list for a JSON array of subset indices or q values, else a string."""
+    if key in ("rank", "cap", "seed"):
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        elif isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"config key {key!r} must be an integer, "
+                         f"got {json.dumps(value)}")
+    if key in ("subset", "q") and isinstance(value, list):
+        return ",".join(str(x) for x in value)
+    return str(value)
+
+
 def _merge_config(args):
     """Fill unset flags from the --config file (flags win)."""
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object, got "
+                         f"{type(data).__name__}")
     for key in data:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
     for key in _CONFIG_KEYS:
         if key in data and getattr(args, key, None) in (None, ""):
-            setattr(args, key, str(data[key]) if key in
-                    ("type", "subset", "q", "out") else data[key])
+            setattr(args, key, _config_value(key, data[key]))
 
 
 def _case(args) -> CaseConfig:
@@ -76,11 +97,11 @@ def _case(args) -> CaseConfig:
         raise ValueError("--type and --rank are required")
     return CaseConfig(
         family=args.type.upper(),
-        rank=int(args.rank),
+        rank=args.rank,
         subset=_parse_subset(args.subset),
         q_values=_parse_q(args.q),
-        cap=int(args.cap) if args.cap is not None else 6000,
-        seed=int(args.seed) if args.seed is not None else 1,
+        cap=args.cap if args.cap is not None else 6000,
+        seed=args.seed if args.seed is not None else 1,
     )
 
 

@@ -37,18 +37,29 @@ is triangular (U = U-U0U+; Jantzen, Lectures on Quantum Groups, ch. 4):
   of its weight components does.  So f is split by weight before closing,
   every closure row stays weight-homogeneous, and each row is paired only
   with the rows of W of its own weight.
-* Two legs.  A tensor functional D vanishes on (U.v0) (x) (U.v1) =
-  (U- (x) U-).(W0 (x) W1) iff its closure under F_i^T (x) 1 and 1 (x) F_i^T
-  is orthogonal to W0 (x) W1; the split is by pairs of weights.
+* Two legs.  A tensor functional D on V0 (x) V1 vanishes on
+  (U.v0) (x) (U.v1) = (U-.W0) (x) (U-.W1) iff, for every y in U- and w in
+  W1, the functional D(., y.w) = ((1 (x) y^T) D)(., w) vanishes on U-.W0.
+  So the test runs one leg at a time, and each step is an iff:
+  - Stage 1: close the components of D by pairs of weights (the subspace
+    is graded by pairs of weights, as in the functional split) under
+    1 (x) F_i^T alone, with leg 0 as a passive label.  The closure spans
+    every (1 (x) y^T) D_c, y in U-, D_c a component.
+  - Contraction: pair leg 1 of every stage-1 row with every row of W1 of
+    the same leg-1 weight (other weights pair to zero), matching keys by
+    block.  By bilinearity the results G, functionals on the stacked leg-0
+    space, span every D(., y.w); each is weight-homogeneous.
+  - Stage 2: G vanishes on U-.W0 iff the (U-)^T closure of G is orthogonal
+    to W0, which is the 1-leg reduction above.
 
 Both sides use one closure routine and one generator-action routine (the
 functional side reads the transposed tables).  The vector closures are
-cached per stacked leg; the functional closure pairs each new row at once
-and stops at the first non-zero value.  The certificate is
+cached per stacked leg; the last functional closure pairs each new row at
+once and stops at the first non-zero value.  The certificate is
 (dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
-dim (U- (x) U-)^T D) for two.  A closure whose dimension exceeds the cap
-raises CapExceeded, checked after every kept insert, seeds included, and
-on every hit of the vector-closure cache.
+dim (1 (x) U-)^T D, dim (U-)^T G) for two.  A closure whose dimension
+exceeds the cap raises CapExceeded, checked after every kept insert, seeds
+included, and on every hit of the vector-closure cache.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
@@ -61,10 +72,14 @@ with the weight components of every f_t in member order:
   (U-)^T f_t.  If every joint row is orthogonal to W, so is every row of
   each member's own closure, and each f_t vanishes on U.v by the
   reduction above.  Each member then gets the certificate
-  (dim U+v, dim (U-)^T span{f_1, ..., f_m}) (two raising dimensions for
-  two legs).
-* Cap.  A member's own closure lies inside the joint one, so a joint
-  closure that never exceeds the cap bounds every member's closure too.
+  (dim U+v, dim (U-)^T span{f_1, ..., f_m}).  Two legs keep the argument
+  stage by stage: the joint stage-1 closure contains each member's, so
+  the joint contractions span each member's G, and the joint stage-2
+  closure contains each member's.  The certificate is (dim U+v0,
+  dim U+v1, dim (1 (x) U-)^T span{D_1, ..., D_m}, dim (U-)^T G), with G
+  the joint contractions.
+* Cap.  A member's own closures lie inside the joint ones, so joint
+  closures that never exceed the cap bound every member's closures too.
 * Fallback.  If the joint closure pairs non-zero or overruns the cap,
   every member is tested on its own exactly as a one-member call, so
   per-member verdicts, witnesses and cap overruns do not depend on the
@@ -106,14 +121,15 @@ _TABLES = {("E", False): "e_cols", ("E", True): "e_rows",
 @dataclass
 class ZeroCertificate:
     """Verdict of a zero test.  closure_dims is (dim U+v, dim (U-)^T f) for
-    a 1-leg test and (dim U+v0, dim U+v1, dim (U- (x) U-)^T D) for a 2-leg
-    test: the raising closure of each stacked vector leg, then the lowering
-    closure of the functional (on a non-zero verdict, the part built before
-    the first non-zero pairing).  A zero verdict of a batch member that
-    shared a joint closure carries the joint dimension
-    dim (U-)^T span{f_1, ..., f_m} instead (see the module docstring).  It
-    is () when the terms cancel outright; groups counts the distinct
-    (words, vector legs) after cancellation."""
+    a 1-leg test and (dim U+v0, dim U+v1, dim (1 (x) U-)^T D,
+    dim (U-)^T G) for a 2-leg test, where G holds the contractions of the
+    stage-1 rows with the rows of U+v1.  That is the raising closure of
+    each stacked vector leg, then the lowering closures of the functional;
+    on a non-zero verdict the last one is only the part built before the
+    first non-zero pairing.  A zero verdict of a batch member that shared a
+    joint closure carries the joint lowering dimensions instead (see the
+    module docstring).  It is () when the terms cancel outright; groups
+    counts the distinct (words, vector legs) after cancellation."""
 
     zero: bool
     closure_dims: tuple[int, ...]
@@ -501,47 +517,80 @@ class CoordAlgebra:
     def _lowering_test(self, order, legs, funs, cap):
         """Close the weight components of every functional in funs (group
         dicts over the stacked legs `order`, in order) under the transposed
-        F_i on each leg, pairing every new row at once with the raising
-        closure rows `legs` of its weight; stop at the first non-zero
-        value.  Keys are (block, k_0, ..., k_n-1).  A leg key that the
-        leg's closure never indexed has coefficient zero in every closure
-        row, so its entries are left out of the pairing rather than added
-        to the cached closure's indexer."""
-        field = self.field
-        nsides = len(legs)
+        F_i, pairing every new row at once with the raising closure rows
+        of leg 0 of its weight; stop at the first non-zero value.  Keys are
+        (block, k_0, ..., k_n-1).  Two legs are first reduced to one (see
+        the module docstring): the functionals are closed under 1 (x) F_i^T
+        alone, and leg 1 of every row is contracted with the raising
+        closure of leg 1.  A leg key that the leg's closure never indexed
+        has coefficient zero in every closure row, so its entries are left
+        out of the pairing rather than added to the cached closure's
+        indexer."""
         dims = tuple(dim for _, _, dim in legs)
         words = [k[0] for k in order]
         indexer = KeyIndexer()
         seeds = [v for fun in funs for v in self._weight_split(
             indexer, words, (((gi,) + fkeys, c) for gi, k in enumerate(order)
                              for fkeys, c in fun[k].items()))]
-        lowering = [(s, ("F", i)) for s in range(nsides)
-                    for i in range(1, self.rs.rank + 1)]
+        if len(legs) == 2:
+            rows = list(self._closure_rows(indexer, words, seeds, [
+                (1, ("F", i)) for i in range(1, self.rs.rank + 1)], True, cap))
+            dims += (len(rows),)
+            indexer, seeds = self._contract_leg1(indexer, words, rows,
+                                                 legs[1])
+            words = [w[:1] for w in words]
+        ix0, by_wt0, _ = legs[0]
+        lowering = [(0, ("F", i)) for i in range(1, self.rs.rank + 1)]
         leg_keys = {}
         fdim = 0
         for row in self._closure_rows(indexer, words, seeds, lowering, True,
                                       cap):
             fdim += 1
-            tensor = {}
+            fun = {}
             for pk, c in row.items():
-                ps = leg_keys.get(pk)
-                if ps is None:
-                    bk = indexer.key(pk)
-                    ps = leg_keys[pk] = tuple(
-                        ix.get((bk[0], bk[1 + s]))
-                        for s, (ix, _, _) in enumerate(legs))
-                if None not in ps:
-                    tensor[ps] = c
+                p = leg_keys.get(pk, -1)
+                if p == -1:
+                    p = leg_keys[pk] = ix0.get(indexer.key(pk))
+                if p is not None:
+                    fun[p] = c
             wt = self._packed_weight(indexer, words, next(iter(row)))
-            val = _first_nonzero(field, tensor, [
-                by_wt.get(wt[s:s + 1], ())
-                for s, (_, by_wt, _) in enumerate(legs)])
+            val = _first_nonzero(self.field, fun, by_wt0.get(wt, ()))
             if val is not None:
                 return ZeroCertificate(
                     False, dims + (fdim,), len(order),
                     witness=f"pairs to {val} on a closure "
-                    + ("vector" if nsides == 1 else "pair"))
+                    + ("vector" if len(legs) == 1 else "pair"))
         return ZeroCertificate(True, dims + (fdim,), len(order))
+
+    def _contract_leg1(self, indexer, words, rows, leg1):
+        """Contract leg 1 of each weight-homogeneous 2-leg row with every
+        row of the raising closure leg1 of the same leg-1 weight, matching
+        keys by block.  Returns a fresh indexer of the keys (block, k_0) and
+        the non-zero contractions, in row order and then leg1 row order;
+        each is weight-homogeneous on leg 0."""
+        zero = self.field.zero
+        ix1, by_wt1, _ = leg1
+        out = KeyIndexer()
+        funs = []
+        for row in rows:
+            by_p1 = {}
+            for pk, c in row.items():
+                b, k0, k1 = indexer.key(pk)
+                p1 = ix1.get((b, k1))
+                if p1 is not None:
+                    by_p1.setdefault(p1, []).append((out.index((b, k0)), c))
+            if not by_p1:
+                continue
+            wt = self._packed_weight(indexer, words, next(iter(row)))
+            for w in by_wt1.get(wt[1:], ()):
+                g = {}
+                for p1, x in w.items():
+                    for p0, c in by_p1.get(p1, ()):
+                        g[p0] = g.get(p0, zero) + c * x
+                g = {p0: c for p0, c in g.items() if c}
+                if g:
+                    funs.append(g)
+        return out, funs
 
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
@@ -653,22 +702,12 @@ def _pair(field, fun, vec):
     return tot
 
 
-def _first_nonzero(field, tensor, legs):
-    """The first non-zero value of tensor {(p_0, ..., p_n-1): c} on a
-    product a_0 (x) ... (x) a_n-1 of rows a_s from legs[s], else None."""
-    rows, rest = legs[0], legs[1:]
+def _first_nonzero(field, fun, rows):
+    """The first non-zero value of the functional fun on one of rows, else
+    None."""
     for a in rows:
-        u = {}
-        for ps, c in tensor.items():
-            x = a.get(ps[0])
-            if x is not None:
-                u[ps[1:]] = u.get(ps[1:], field.zero) + c * x
-        if rest:
-            val = _first_nonzero(field, {k: v for k, v in u.items() if v},
-                                 rest)
-        else:
-            val = u.get(()) or None
-        if val is not None:
+        val = _pair(field, fun, a)
+        if val:
             return val
     return None
 

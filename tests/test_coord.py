@@ -443,12 +443,44 @@ def test_tensor_zero_two_legs(a1):
     assert not cert.zero  # distinct legs swapped: not the same tensor
     cert = alg.tensor_zero_test([(one, (lhs, z)), (-one, (y, z))])
     assert cert.zero
-    # (dim U+v0, dim U+v1, dim (U- (x) U-)^T D)
-    assert len(cert.closure_dims) == 3 and min(cert.closure_dims) > 0
+    # (dim U+v0, dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G)
+    assert len(cert.closure_dims) == 4 and min(cert.closure_dims) > 0
     # and a genuine nonzero
     cert = alg.tensor_zero_test([(one, (x, y)), (one, (x, z))])
     assert not cert.zero
     assert cert.witness
+
+
+def _completeness_pair():
+    """A zero 2-leg input and its legs swapped, on a fresh A2 algebra: P is
+    the completeness law sum_k N_k phat[2,k] phat[k,0] - phat[2,0] and z is
+    phat[1,0].  The certificate of P (x) z is (6, 3, 5, 8) and that of
+    z (x) P is (3, 6, 8, 5)."""
+    alg, mid = make("A", 2, (1, 0))
+    N = alg.modules[mid].norms
+    lhs = alg.zero()
+    for k in range(3):
+        lhs = lhs + N[k] * (phat(alg, mid, 2, k) * phat(alg, mid, k, 0))
+    p = lhs - phat(alg, mid, 2, 0)
+    z = phat(alg, mid, 1, 0)
+    one = alg.field.one
+    return alg, [(one, (p, z))], [(one, (z, p))]
+
+
+def test_two_leg_cap_covers_both_stages():
+    """The cap bounds the 1 (x) F_i^T closure of D (stage 1) and the F_i^T
+    closure of its leg-1 contractions (stage 2) alike: a cap of 7 lets both
+    raising closures (at most 6) through but not a stage of dimension 8,
+    and a cap of 8, the larger stage, passes."""
+    alg, pz, zp = _completeness_pair()
+    with pytest.raises(CapExceeded):
+        alg.tensor_zero_test(zp, cap=7)      # stage 1 has dimension 8
+    with pytest.raises(CapExceeded):
+        alg.tensor_zero_test(pz, cap=7)      # stage 2 has dimension 8
+    cert = alg.tensor_zero_test(zp, cap=8)
+    assert cert.zero and cert.closure_dims == (3, 6, 8, 5)
+    cert = alg.tensor_zero_test(pz, cap=8)
+    assert cert.zero and cert.closure_dims == (6, 3, 5, 8)
 
 
 def test_tensor_zero_guard_rails(a1):

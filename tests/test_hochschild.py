@@ -141,8 +141,8 @@ def test_cycle_boundary_vanishes_normalized(ctxname, request):
     ctx = request.getfixturevalue(ctxname)
     cert, residual, expected = hh.verify_cycle(ctx)
     assert cert.zero
-    # (dim U+v0, dim U+v1, dim (U- (x) U-)^T D)
-    assert len(cert.closure_dims) == 3 and min(cert.closure_dims) > 0
+    # (dim U+v0, dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G)
+    assert len(cert.closure_dims) == 4 and min(cert.closure_dims) > 0
     assert residual == expected
 
 

@@ -288,6 +288,43 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data,message", [
+    (5, "must hold a JSON object"),
+    ([1, 2], "must hold a JSON object"),
+    ({"type": "A", "rank": 2.5}, "'rank' must be an integer"),
+    ({"type": "A", "rank": True}, "'rank' must be an integer"),
+    ({"type": "A", "rank": 1, "cap": 100.0}, "'cap' must be an integer"),
+    ({"type": "A", "rank": 1, "seed": False}, "'seed' must be an integer"),
+], ids=["number", "array", "float-rank", "bool-rank", "float-cap",
+        "bool-seed"])
+def test_cli_bad_config_exits_two(tmp_path, capsys, data, message):
+    """A configuration error exits 2 with a message, never a traceback or
+    a silently truncated value."""
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "unknown config key" not in err
+
+
+def test_cli_config_subset_array(tmp_path, capsys):
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 3, "subset": [3, 1],
+                               "q": "1/2"}))
+    assert main(["roots", "--config", str(cfg)]) == 0
+    assert "weight of the projection module: [0, 1, 0]" in \
+        capsys.readouterr().out
+
+
+def test_cli_config_q_array(tmp_path, capsys):
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 2, "subset": [2],
+                               "q": ["1/2", "2/3"]}))
+    assert main(["pairing", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "[1/2]" in out and "[2/3]" in out
+
+
 def test_cli_report_writes_default_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["report", "--type", "A", "--rank", "1",

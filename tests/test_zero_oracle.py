@@ -283,19 +283,23 @@ def _product_batch(ctx, abcd, tampered, z=None):
 
 def _batch_agrees(ctx, members):
     """Batch certificates against one-member calls and the oracle.  A batch
-    that passes jointly gives every member one certificate, at least as
-    large as its own; a batch with a non-zero member falls back to
-    one-member tests, so every certificate and witness is a one-member
-    call's."""
+    that passes jointly gives every member one certificate: the same
+    raising closures, and lowering closures (one for 1 leg, both stages
+    for 2) at least as large as its own; a batch with a non-zero member
+    falls back to one-member tests, so every certificate and witness is a
+    one-member call's."""
     certs = ctx.alg.batch_zero_test(members)
     singles = [ctx.alg.tensor_zero_test(terms) for terms in members]
     for terms, cert, single in zip(members, certs, singles):
         assert cert.zero == single.zero == two_sided_is_zero(ctx.alg, terms)
     if all(c.zero for c in certs):
         assert len({c.closure_dims for c in certs}) == 1
+        nsides = len(members[0][0][1])
         for cert, single in zip(certs, singles):
-            assert cert.closure_dims[:-1] == single.closure_dims[:-1]
-            assert cert.closure_dims[-1] >= single.closure_dims[-1]
+            assert cert.closure_dims[:nsides] == single.closure_dims[:nsides]
+            assert len(cert.closure_dims) == len(single.closure_dims)
+            assert all(j >= o for j, o in zip(cert.closure_dims[nsides:],
+                                               single.closure_dims[nsides:]))
             assert cert.groups == single.groups
     else:
         assert certs == singles
@@ -330,3 +334,26 @@ def test_oracle_agrees_on_batches(case):
     z = _munit(rng, ctx)
     assert _batch_agrees(ctx, _product_batch(ctx, abcd(), bad, z)) == \
         [e not in bad for e in entries]
+
+
+def test_oracle_agrees_on_two_leg_batches(case):
+    """2-leg batches (the product law at every entry (i, j), tensored with
+    one matrix unit): all zero, so one joint stage-1 closure, contraction
+    and stage-2 closure certify every member; and exactly one tampered
+    entry, so the joint test pairs non-zero and only that member is
+    non-zero, with the one-member witness."""
+    name, ctx = case[0], case[1]
+    rng = random.Random(name + "batch2")
+    n = ctx.dim
+    entries = [(i, j) for i in range(n) for j in range(n)]
+
+    def abcd():
+        return tuple(rng.randrange(n) for _ in range(4))
+
+    z = _munit(rng, ctx)
+    assert _batch_agrees(ctx, _product_batch(ctx, abcd(), {}, z)) == \
+        [True] * len(entries)
+    one = rng.choice(entries)
+    assert _batch_agrees(ctx, _product_batch(
+        ctx, abcd(), {one: rng.randrange(n)}, z)) == \
+        [e != one for e in entries]
