@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from qflag import cartan
+from qflag.coord import DEFAULT_CAP
 from qflag.qscalar import FixedField, SymbolicField
 from qflag.report import CaseConfig, emit_report, root_label, run_suite
 from qflag.repn import hw_module
@@ -100,7 +101,7 @@ def _case(args) -> CaseConfig:
         rank=args.rank,
         subset=_parse_subset(args.subset),
         q_values=_parse_q(args.q),
-        cap=args.cap if args.cap is not None else 6000,
+        cap=args.cap if args.cap is not None else DEFAULT_CAP,
         seed=args.seed if args.seed is not None else 1,
     )
 

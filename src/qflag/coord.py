@@ -37,29 +37,35 @@ is triangular (U = U-U0U+; Jantzen, Lectures on Quantum Groups, ch. 4):
   of its weight components does.  So f is split by weight before closing,
   every closure row stays weight-homogeneous, and each row is paired only
   with the rows of W of its own weight.
-* Two legs.  A tensor functional D on V0 (x) V1 vanishes on
-  (U.v0) (x) (U.v1) = (U-.W0) (x) (U-.W1) iff, for every y in U- and w in
-  W1, the functional D(., y.w) = ((1 (x) y^T) D)(., w) vanishes on U-.W0.
-  So the test runs one leg at a time, and each step is an iff:
-  - Stage 1: close the components of D by pairs of weights (the subspace
-    is graded by pairs of weights, as in the functional split) under
-    1 (x) F_i^T alone, with leg 0 as a passive label.  The closure spans
+* One leg at a time.  A tensor functional D on V_0 (x) ... (x) V_s
+  vanishes on U.v_0 (x) ... (x) U.v_s, with U.v_s = U-.W_s, iff for every
+  y in U- and w in W_s the functional D(..., y.w) = ((1 (x) y^T) D)(..., w)
+  vanishes on U.v_0 (x) ... (x) U.v_s-1.  So the test runs from the last
+  leg down to leg 0, and each step is an iff:
+  - Close: close the current functionals, split by tuples of weights (the
+    subspace is graded by them, as in the functional split), under F_i^T
+    on leg s alone, the other legs passive labels.  The closure spans
     every (1 (x) y^T) D_c, y in U-, D_c a component.
-  - Contraction: pair leg 1 of every stage-1 row with every row of W1 of
-    the same leg-1 weight (other weights pair to zero), matching keys by
-    block.  By bilinearity the results G, functionals on the stacked leg-0
-    space, span every D(., y.w); each is weight-homogeneous.
-  - Stage 2: G vanishes on U-.W0 iff the (U-)^T closure of G is orthogonal
-    to W0, which is the 1-leg reduction above.
+  - Contract: pair leg s of every closure row with every row of W_s of
+    the same leg-s weight (other weights pair to zero), matching keys by
+    block.  By bilinearity the contractions span every D(..., y.w); each
+    is weight-homogeneous on the legs left, and they are the functionals
+    of the step for leg s - 1.
+  At leg 0 only the block is left, and a contraction summed over its
+  blocks is the pairing of a closure row with a row of W_0: the 1-leg
+  reduction above.
 
 Both sides use one closure routine and one generator-action routine (the
 functional side reads the transposed tables).  The vector closures are
-cached per stacked leg; the last functional closure pairs each new row at
-once and stops at the first non-zero value.  The certificate is
-(dim U+v, dim (U-)^T f) for one leg and (dim U+v0, dim U+v1,
-dim (1 (x) U-)^T D, dim (U-)^T G) for two.  A closure whose dimension
-exceeds the cap raises CapExceeded, checked after every kept insert, seeds
-included, and on every hit of the vector-closure cache.
+cached per stacked leg; an inner leg's functional closure is built in full
+before it is contracted, and the closure of leg 0 pairs each new row at
+once and stops at the first non-zero value.  The certificate is the
+dimension of U+v_s for each stacked leg, then of each leg's functional
+closure from the last leg to leg 0: (dim U+v, dim (U-)^T f) for one leg
+and (dim U+v0, dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G) for two, G the
+contractions of leg 1.  A closure whose dimension exceeds the cap raises
+CapExceeded, checked after every kept insert, seeds included, and on every
+hit of the vector-closure cache.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
@@ -72,12 +78,11 @@ with the weight components of every f_t in member order:
   (U-)^T f_t.  If every joint row is orthogonal to W, so is every row of
   each member's own closure, and each f_t vanishes on U.v by the
   reduction above.  Each member then gets the certificate
-  (dim U+v, dim (U-)^T span{f_1, ..., f_m}).  Two legs keep the argument
-  stage by stage: the joint stage-1 closure contains each member's, so
-  the joint contractions span each member's G, and the joint stage-2
-  closure contains each member's.  The certificate is (dim U+v0,
-  dim U+v1, dim (1 (x) U-)^T span{D_1, ..., D_m}, dim (U-)^T G), with G
-  the joint contractions.
+  (dim U+v, dim (U-)^T span{f_1, ..., f_m}).  More legs keep the argument
+  leg by leg: each joint closure contains each member's, so the joint
+  contractions span each member's, and the joint closure of the next leg
+  contains each member's.  The certificate holds the joint closure
+  dimensions.
 * Cap.  A member's own closures lie inside the joint ones, so joint
   closures that never exceed the cap bound every member's closures too.
 * Fallback.  If the joint closure pairs non-zero or overruns the cap,
@@ -104,7 +109,10 @@ Two shortcuts keep closures cheap without changing any result:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from qflag import cartan
 from qflag.lin import KeyIndexer, kernel, span_basis
@@ -120,16 +128,16 @@ _TABLES = {("E", False): "e_cols", ("E", True): "e_rows",
 
 @dataclass
 class ZeroCertificate:
-    """Verdict of a zero test.  closure_dims is (dim U+v, dim (U-)^T f) for
-    a 1-leg test and (dim U+v0, dim U+v1, dim (1 (x) U-)^T D,
-    dim (U-)^T G) for a 2-leg test, where G holds the contractions of the
-    stage-1 rows with the rows of U+v1.  That is the raising closure of
-    each stacked vector leg, then the lowering closures of the functional;
-    on a non-zero verdict the last one is only the part built before the
-    first non-zero pairing.  A zero verdict of a batch member that shared a
-    joint closure carries the joint lowering dimensions instead (see the
-    module docstring).  It is () when the terms cancel outright; groups
-    counts the distinct (words, vector legs) after cancellation."""
+    """Verdict of a zero test.  closure_dims is dim U+v_s for each stacked
+    vector leg, then the dimension of each leg's lowering closure of the
+    functional, from the last leg to leg 0 (see the module docstring):
+    (dim U+v, dim (U-)^T f) for a 1-leg test and (dim U+v0, dim U+v1,
+    dim (1 (x) U-)^T D, dim (U-)^T G) for a 2-leg test.  On a non-zero
+    verdict the last one is only the part built before the first non-zero
+    pairing.  A zero verdict of a batch member that shared a joint closure
+    carries the joint lowering dimensions instead.  It is () when the
+    terms cancel outright; groups counts the distinct (words, vector legs)
+    after cancellation."""
 
     zero: bool
     closure_dims: tuple[int, ...]
@@ -473,11 +481,11 @@ class CoordAlgebra:
         """Exact zero test for sums of tensors of elements (1 or 2 legs).
 
         tensor_terms: iterable of (coeff, (elem_0, ..., elem_n)).  Returns a
-        ZeroCertificate: closure_dims holds dim U+v_s for each stacked vector
-        leg, then the dimension of the lowering closure of the functional
-        (see the module docstring).  A non-zero verdict stops at the first
-        functional row that pairs non-trivially, so its last dimension is
-        the size of the closure built so far.
+        ZeroCertificate whose closure_dims hold dim U+v_s for each stacked
+        vector leg, then the dimension of each leg's lowering closure of the
+        functional (see the module docstring).  A non-zero verdict stops at
+        the first leg-0 closure row that pairs non-trivially, so its last
+        dimension is the size of the closure built so far.
         """
         return self.batch_zero_test([tensor_terms], cap)[0]
 
@@ -496,12 +504,13 @@ class CoordAlgebra:
                 nsides = len(legs)
             elif len(legs) != nsides:
                 raise ValueError("mixed tensor degrees in one zero test")
-            for combo in _product([e.terms for e in legs]):
+            for combo in itertools.product(*(e.terms for e in legs)):
                 words = tuple(t[0] for t in combo)
                 vecs = tuple(_canon_vec(t[2]) for t in combo)
                 g = groups.setdefault((words, vecs), {})
-                for fkeys, fc in _product_items([t[1] for t in combo]):
-                    nv = g.get(fkeys, zero) + coeff * fc
+                for items in itertools.product(*(t[1].items() for t in combo)):
+                    fkeys, cs = zip(*items)
+                    nv = g.get(fkeys, zero) + reduce(mul, cs, coeff)
                     if nv:
                         g[fkeys] = nv
                     else:
@@ -517,80 +526,70 @@ class CoordAlgebra:
     def _lowering_test(self, order, legs, funs, cap):
         """Close the weight components of every functional in funs (group
         dicts over the stacked legs `order`, in order) under the transposed
-        F_i, pairing every new row at once with the raising closure rows
-        of leg 0 of its weight; stop at the first non-zero value.  Keys are
-        (block, k_0, ..., k_n-1).  Two legs are first reduced to one (see
-        the module docstring): the functionals are closed under 1 (x) F_i^T
-        alone, and leg 1 of every row is contracted with the raising
-        closure of leg 1.  A leg key that the leg's closure never indexed
-        has coefficient zero in every closure row, so its entries are left
-        out of the pairing rather than added to the cached closure's
-        indexer."""
+        F_i one leg at a time, from the last leg to leg 0, and contract
+        each leg's closure rows with the raising closure rows of that leg
+        (see the module docstring).  Keys are (block, k_0, ..., k_s).  An
+        inner leg's closure is built in full, which releases its working
+        span basis before the contractions grow; the rows of leg 0 are
+        paired as they are inserted, and the test stops at the first
+        non-zero pairing."""
         dims = tuple(dim for _, _, dim in legs)
         words = [k[0] for k in order]
         indexer = KeyIndexer()
         seeds = [v for fun in funs for v in self._weight_split(
             indexer, words, (((gi,) + fkeys, c) for gi, k in enumerate(order)
                              for fkeys, c in fun[k].items()))]
-        if len(legs) == 2:
-            rows = list(self._closure_rows(indexer, words, seeds, [
-                (1, ("F", i)) for i in range(1, self.rs.rank + 1)], True, cap))
-            dims += (len(rows),)
-            indexer, seeds = self._contract_leg1(indexer, words, rows,
-                                                 legs[1])
-            words = [w[:1] for w in words]
-        ix0, by_wt0, _ = legs[0]
-        lowering = [(0, ("F", i)) for i in range(1, self.rs.rank + 1)]
-        leg_keys = {}
-        fdim = 0
-        for row in self._closure_rows(indexer, words, seeds, lowering, True,
-                                      cap):
-            fdim += 1
-            fun = {}
-            for pk, c in row.items():
-                p = leg_keys.get(pk, -1)
-                if p == -1:
-                    p = leg_keys[pk] = ix0.get(indexer.key(pk))
-                if p is not None:
-                    fun[p] = c
-            wt = self._packed_weight(indexer, words, next(iter(row)))
-            val = _first_nonzero(self.field, fun, by_wt0.get(wt, ()))
-            if val is not None:
-                return ZeroCertificate(
-                    False, dims + (fdim,), len(order),
-                    witness=f"pairs to {val} on a closure "
-                    + ("vector" if len(legs) == 1 else "pair"))
-        return ZeroCertificate(True, dims + (fdim,), len(order))
-
-    def _contract_leg1(self, indexer, words, rows, leg1):
-        """Contract leg 1 of each weight-homogeneous 2-leg row with every
-        row of the raising closure leg1 of the same leg-1 weight, matching
-        keys by block.  Returns a fresh indexer of the keys (block, k_0) and
-        the non-zero contractions, in row order and then leg1 row order;
-        each is weight-homogeneous on leg 0."""
         zero = self.field.zero
-        ix1, by_wt1, _ = leg1
-        out = KeyIndexer()
-        funs = []
-        for row in rows:
-            by_p1 = {}
-            for pk, c in row.items():
-                b, k0, k1 = indexer.key(pk)
-                p1 = ix1.get((b, k1))
-                if p1 is not None:
-                    by_p1.setdefault(p1, []).append((out.index((b, k0)), c))
-            if not by_p1:
-                continue
-            wt = self._packed_weight(indexer, words, next(iter(row)))
-            for w in by_wt1.get(wt[1:], ()):
-                g = {}
-                for p1, x in w.items():
-                    for p0, c in by_p1.get(p1, ()):
-                        g[p0] = g.get(p0, zero) + c * x
-                g = {p0: c for p0, c in g.items() if c}
-                if g:
-                    funs.append(g)
-        return out, funs
+        for s in reversed(range(len(legs))):
+            rows = self._closure_rows(indexer, words, seeds, [
+                (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True, cap)
+            if s:
+                rows = list(rows)
+            contracted = KeyIndexer()
+            seeds = []
+            fdim = 0
+            for row in rows:
+                fdim += 1
+                for g in self._contract(indexer, words, row, legs[s],
+                                        contracted):
+                    if s:
+                        seeds.append(g)
+                    elif val := sum(g.values(), zero):
+                        return ZeroCertificate(
+                            False, dims + (fdim,), len(order),
+                            witness=f"pairs to {val} on a closure "
+                            + ("vector" if len(legs) == 1 else "pair"))
+            dims += (fdim,)
+            indexer = contracted
+            words = [w[:s] for w in words]
+        return ZeroCertificate(True, dims, len(order))
+
+    def _contract(self, indexer, words, row, leg, out):
+        """Contract the last leg of a weight-homogeneous row with each row
+        of the raising closure leg of its weight, matching keys by block;
+        yield the non-zero contractions in leg row order, keyed by out's
+        packing of the row keys without their last leg.  A leg key that
+        the leg's closure never indexed is zero on every closure row, so
+        its entries are dropped rather than indexed in the cached closure."""
+        zero = self.field.zero
+        ix, by_wt, _ = leg
+        by_p = {}
+        for pk, c in row.items():
+            bk = indexer.key(pk)
+            p = ix.get((bk[0], bk[-1]))
+            if p is not None:
+                by_p.setdefault(p, []).append((out.index(bk[:-1]), c))
+        if not by_p:
+            return
+        wt = self._packed_weight(indexer, words, next(iter(row)))
+        for w in by_wt.get(wt[-1:], ()):
+            g = {}
+            for p, x in w.items():
+                for key, c in by_p.get(p, ()):
+                    g[key] = g.get(key, zero) + c * x
+            g = {key: c for key, c in g.items() if c}
+            if g:
+                yield g
 
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
@@ -702,16 +701,6 @@ def _pair(field, fun, vec):
     return tot
 
 
-def _first_nonzero(field, fun, rows):
-    """The first non-zero value of the functional fun on one of rows, else
-    None."""
-    for a in rows:
-        val = _pair(field, fun, a)
-        if val:
-            return val
-    return None
-
-
 def _canon_vec(vec):
     return tuple(sorted(vec.items(), key=lambda kv: kv[0]))
 
@@ -719,28 +708,6 @@ def _canon_vec(vec):
 def _group_sort_key(k):
     words, vecs = k
     return (words, tuple(tuple((kk, str(c)) for kk, c in v) for v in vecs))
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    head, tail = lists[0], lists[1:]
-    for t in head:
-        for rest in _product(tail):
-            yield (t,) + rest
-
-
-def _product_items(funs):
-    """Cartesian product over the item lists of several dicts, yielding
-    (key_tuple, coeff_product)."""
-    if not funs:
-        yield (), 1
-        return
-    head, tail = funs[0], funs[1:]
-    for k, c in head.items():
-        for ks, cs in _product_items(tail):
-            yield (k,) + ks, c * cs
 
 
 class CoordElem:

@@ -81,18 +81,45 @@ class FlagContext:
                 self.coeff(i, b) * self.coeff(j, a, barred=True))
         return core
 
-    def qtrace(self):
-        """sum_i q^(2rho, lam_i) N_i phat[i,i]."""
-        F = self.field
-        tot = self.alg.zero()
-        for i in range(self.dim):
-            tot = tot + (F.q_power(self.wexp[i]) * self.norms[i]) * \
-                self.phat(i, i)
-        return tot
-
 
 def flag_context(family, rank, subset, field) -> FlagContext:
     return FlagContext(cartan.root_system(family, rank), subset, field)
+
+
+# -- laws -----------------------------------------------------------------------
+# The projection laws are the matrix-unit laws at a=b=c=d=0, term for term:
+# phat = mu[0,0], N_0 = 1 and lam_0 = rho_S.
+
+
+def _product_law(ctx, a, b, c, d, i, j):
+    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j],
+    as the tensor terms of a zero test."""
+    lhs = ctx.alg.zero()
+    for k in range(ctx.dim):
+        lhs = lhs + ctx.norms[k] * (
+            ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
+    if a == d:
+        lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
+    return [(ctx.field.one, (lhs,))]
+
+
+def _trace_law(ctx, a, b):
+    """sum_i q^(2rho, lam_i) N_i mu[a,b][i,i]
+    - delta_(a,b) N_a q^(2rho, lam_a) 1."""
+    F = ctx.field
+    lhs = ctx.alg.zero()
+    for i in range(ctx.dim):
+        lhs = lhs + (F.q_power(ctx.wexp[i]) * ctx.norms[i]) * \
+            ctx.munit(a, b, i, i)
+    if a == b:
+        lhs = lhs - (ctx.norms[a] * F.q_power(ctx.wexp[a])) * ctx.alg.unit()
+    return lhs
+
+
+def _star_law(ctx, a, b, i, j):
+    """mu[a,b][j,i]^* = mu[b,a][i,j], exactly and syntactically."""
+    return (ctx.munit(a, b, j, i).star().simplify().canonical()
+            == ctx.munit(b, a, i, j).simplify().canonical())
 
 
 # -- verifications --------------------------------------------------------------
@@ -103,35 +130,22 @@ def verify_idempotent(ctx: FlagContext, pairs=None, cap=DEFAULT_CAP):
     pairs (all pairs by default).  Returns {(i,j): ZeroCertificate}; all
     pairs are tested as one batch, so they share one vector closure and,
     when every pair is zero, one functional closure."""
-    if pairs is None:
-        pairs = [(i, j) for i in range(ctx.dim) for j in range(ctx.dim)]
-    else:
-        pairs = list(pairs)
-
-    def law(i, j):
-        lhs = ctx.alg.zero()
-        for k in range(ctx.dim):
-            lhs = lhs + ctx.norms[k] * (ctx.phat(i, k) * ctx.phat(k, j))
-        return [(ctx.field.one, (lhs - ctx.phat(i, j),))]
-    certs = ctx.alg.batch_zero_test((law(i, j) for i, j in pairs), cap=cap)
+    pairs = list(itertools.product(range(ctx.dim), repeat=2)
+                 if pairs is None else pairs)
+    certs = ctx.alg.batch_zero_test(
+        (_product_law(ctx, 0, 0, 0, 0, i, j) for i, j in pairs), cap=cap)
     return dict(zip(pairs, certs))
 
 
 def verify_selfadjoint(ctx: FlagContext) -> bool:
     """phat[i,j]^* = phat[j,i], exactly and syntactically."""
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            got = ctx.phat(i, j).star().simplify().canonical()
-            want = ctx.phat(j, i).simplify().canonical()
-            if got != want:
-                return False
-    return True
+    return all(_star_law(ctx, 0, 0, i, j)
+               for i, j in itertools.product(range(ctx.dim), repeat=2))
 
 
 def verify_qtrace(ctx: FlagContext, cap=DEFAULT_CAP) -> ZeroCertificate:
     """sum_i q^(2rho, lam_i) N_i phat[i,i] = q^(2rho, rho_S) 1."""
-    rhs = ctx.alg.unit() * ctx.field.q_power(ctx.trace_exp)
-    return ctx.alg.is_zero(ctx.qtrace() - rhs, cap=cap)
+    return ctx.alg.is_zero(_trace_law(ctx, 0, 0), cap=cap)
 
 
 def levi_generators(ctx: FlagContext):
@@ -181,39 +195,19 @@ def verify_matrix_units(ctx: FlagContext, indices=None, cap=DEFAULT_CAP,
     tested as one batch; batches are built and tested one at a time.
     """
     idx = list(indices) if indices is not None else list(range(ctx.dim))
-    F = ctx.field
-    alg = ctx.alg
     out = {}
     if "product" in laws:
-        def product_law(a, b, c, d, i, j):
-            lhs = alg.zero()
-            for k in range(ctx.dim):
-                lhs = lhs + ctx.norms[k] * (
-                    ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
-            if a == d:
-                lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
-            return [(F.one, (lhs,))]
         product = out["product"] = {}
         entries = list(itertools.product(idx, repeat=2))
         for abcd in itertools.product(idx, repeat=4):
-            certs = alg.batch_zero_test(
-                (product_law(*abcd, i, j) for i, j in entries), cap=cap)
+            certs = ctx.alg.batch_zero_test(
+                (_product_law(ctx, *abcd, i, j) for i, j in entries), cap=cap)
             product.update(
                 (abcd + ij, cert) for ij, cert in zip(entries, certs))
     if "star" in laws:
-        out["star"] = all(
-            ctx.munit(a, b, j, i).star().simplify().canonical()
-            == ctx.munit(b, a, i, j).simplify().canonical()
-            for a, b, i, j in itertools.product(idx, repeat=4))
+        out["star"] = all(_star_law(ctx, *abij)
+                          for abij in itertools.product(idx, repeat=4))
     if "trace" in laws:
-        trace = out["trace"] = {}
-        for a, b in itertools.product(idx, repeat=2):
-            lhs = alg.zero()
-            for i in range(ctx.dim):
-                lhs = lhs + (F.q_power(ctx.wexp[i]) * ctx.norms[i]) * \
-                    ctx.munit(a, b, i, i)
-            if a == b:
-                lhs = lhs - (ctx.norms[a] * F.q_power(ctx.wexp[a])) * \
-                    alg.unit()
-            trace[(a, b)] = alg.is_zero(lhs, cap=cap)
+        out["trace"] = {ab: ctx.alg.is_zero(_trace_law(ctx, *ab), cap=cap)
+                        for ab in itertools.product(idx, repeat=2)}
     return out

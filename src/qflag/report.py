@@ -62,6 +62,8 @@ class CaseConfig:
                 if not 0 < q < 1:
                     raise ValueError(
                         f"q must lie strictly between 0 and 1, got {q}")
+            if len(set(qs)) != len(qs):
+                raise ValueError(f"q values repeat: {', '.join(map(str, qs))}")
             object.__setattr__(self, "q_values", qs)
         object.__setattr__(self, "subset", tuple(sorted(self.subset)))
         if self.only is not None:

@@ -166,6 +166,36 @@ def test_identity_twist_control_fails_fixed_q():
     assert not hh.identity_twist_control(ctx).zero
 
 
+@pytest.mark.parametrize("family,rank,subset,dims", [
+    ("A", 2, (), (27, 27, 209, 71)),
+    ("B", 2, (1,), (10, 10, 50, 19)),
+    ("G", 2, (2,), (27, 27, 287, 55)),
+])
+def test_cycle_certificate_pinned(family, rank, subset, dims):
+    """The 2-leg certificate (dim U+v0, dim U+v1, dim (1 (x) U-)^T D,
+    dim (U-)^T G) of the normalized boundary at q = 1/2; a full zero
+    closure's dimensions do not depend on how it is built."""
+    ctx = fp.flag_context(family, rank, subset, FixedField(Q(1, 2)))
+    cert, _, _ = hh.verify_cycle(ctx)
+    assert (cert.zero, cert.closure_dims) == (True, dims)
+
+
+@pytest.mark.parametrize("family,rank,subset,field,dims,value", [
+    ("A", 1, (), SymbolicField(), (3, 3, 6, 4),
+     "(-1 + s^4)/(2*s^2 + 2*s^6)"),
+    ("A", 2, (2,), FixedField(Q(1, 2)), (6, 6, 28, 6), "-6/17"),
+])
+def test_identity_twist_certificate_pinned(family, rank, subset, field, dims,
+                                           value):
+    """The full non-zero 2-leg certificate: the leg-0 closure stops at its
+    first non-zero pairing, so its size and the witness value pin the
+    order in which rows are built and contracted."""
+    ctx = fp.flag_context(family, rank, subset, field)
+    cert = hh.identity_twist_control(ctx)
+    assert (cert.zero, cert.closure_dims, cert.witness) == (
+        False, dims, f"pairs to {value} on a closure pair")
+
+
 def test_residual_is_trace_weight(a1):
     _, residual, expected = hh.verify_cycle(a1)
     assert residual == a1.field.q_power(1)

@@ -259,6 +259,17 @@ def test_cli_bad_q_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qs", ["1/2,1/2", "1/2,0.5"])
+def test_cli_repeated_q_exits_two(capsys, qs):
+    """Equal q values, however spelled, are a configuration error rather
+    than a second run of every fixed-q phase."""
+    assert main(["pairing", "--type", "A", "--rank", "2", "--subset", "2",
+                 "--q", qs]) == 2
+    captured = capsys.readouterr()
+    assert "q values repeat" in captured.err
+    assert "pairing.1" not in captured.out
+
+
 def test_cli_missing_case_exits_two(capsys):
     assert main(["verify"]) == 2
     assert "required" in capsys.readouterr().err

@@ -15,6 +15,7 @@ tests use.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import pytest
 
 from qflag import flagproj as fp
 from qflag import hochschild as hh
-from qflag.coord import _canon_vec, _group_sort_key, _product, _product_items
+from qflag.coord import _canon_vec, _group_sort_key
 from qflag.lin import KeyIndexer, span_basis
 from qflag.qscalar import FixedField, SymbolicField
 
@@ -75,12 +76,16 @@ def two_sided_is_zero(alg, tensor_terms):
     nsides = None
     for coeff, legs in tensor_terms:
         nsides = len(legs)
-        for combo in _product([e.terms for e in legs]):
+        for combo in itertools.product(*(e.terms for e in legs)):
             key = (tuple(t[0] for t in combo),
                    tuple(_canon_vec(t[2]) for t in combo))
             g = groups.setdefault(key, {})
-            for fkeys, fc in _product_items([t[1] for t in combo]):
-                g[fkeys] = g.get(fkeys, field.zero) + coeff * fc
+            for items in itertools.product(*(t[1].items() for t in combo)):
+                fkeys = tuple(k for k, _ in items)
+                fc = coeff
+                for _, c in items:
+                    fc = fc * c
+                g[fkeys] = g.get(fkeys, field.zero) + fc
     groups = {k: {f: c for f, c in g.items() if c} for k, g in groups.items()}
     order = sorted((k for k, g in groups.items() if g), key=_group_sort_key)
     if not order:
