@@ -2,7 +2,7 @@
 
 Subcommands:
   roots    -- root-system and parabolic data for a case
-  rep      -- the defining highest-weight module for a case
+  rep      -- the defining highest-weight module for a case, per q value
   verify   -- run the full verification suite, print the summary
   pairing  -- pairing values against the closed formula, per simple root
   kahler   -- the classical-limit block (norm lemma, Gram matrix, origin form)
@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from qflag import cartan
 from qflag.coord import DEFAULT_CAP
-from qflag.qscalar import FixedField, SymbolicField
 from qflag.report import CaseConfig, emit_report, root_label, run_suite
 from qflag.repn import hw_module
 
@@ -106,12 +105,6 @@ def _case(args) -> CaseConfig:
     )
 
 
-def _field_for(cfg: CaseConfig):
-    if cfg.q_values is None:
-        return SymbolicField(), "symbolic"
-    return FixedField(cfg.q_values[0]), str(cfg.q_values[0])
-
-
 def _cmd_roots(args):
     cfg = _case(args)
     rs = cartan.root_system(cfg.family, cfg.rank)
@@ -129,13 +122,13 @@ def _cmd_rep(args):
     cfg = _case(args)
     rs = cartan.root_system(cfg.family, cfg.rank)
     par = cartan.parabolic(rs, cfg.subset)
-    field, qtag = _field_for(cfg)
-    m = hw_module(rs, par.rho_S, field)
-    print(f"module of highest weight {list(par.rho_S)} over {rs.name} "
-          f"(q = {qtag}): dim {m.dim}")
-    for k in range(m.dim):
-        print(f"  basis {k}: weight {list(m.weights[k])}, "
-              f"norm {m.norms[k]}")
+    for qtag, field in cfg.fields():
+        m = hw_module(rs, par.rho_S, field)
+        print(f"module of highest weight {list(par.rho_S)} over {rs.name} "
+              f"(q = {qtag}): dim {m.dim}")
+        for k in range(m.dim):
+            print(f"  basis {k}: weight {list(m.weights[k])}, "
+                  f"norm {m.norms[k]}")
     return 0
 
 

@@ -243,7 +243,7 @@ class CoordAlgebra:
         """pi(gen) applied to the basis vector `key` of the tensor word, or
         with dual=True the transposed action fun -> fun o pi(gen) on a
         functional key; returns ((new_key, coeff), ...).  gen: ("E", i) |
-        ("F", i) | ("K", i, e) | ("Kvec", root_coords).  Memoized on the
+        ("F", i) | ("K", i, e), the last acting as K_i^e.  Memoized on the
         full argument tuple (see the module docstring)."""
         ck = (word, gen, key, dual)
         out = self._gen_cache.get(ck)
@@ -286,15 +286,10 @@ class CoordAlgebra:
                 for l, c in col:
                     out.append((key[:j] + (l,) + key[j + 1:], c * f))
             return out
-        if kind == "K":
-            i, e = gen[1], gen[2]
-            exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
-        elif kind == "Kvec":
-            exp = sum(ca * sd.kexp[a][k]
-                      for sd, k in zip(slots, key)
-                      for a, ca in enumerate(gen[1], start=1) if ca)
-        else:
+        if kind != "K":
             raise ValueError(f"unknown generator {gen}")
+        i, e = gen[1], gen[2]
+        exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
         return [(key, field.q_power(exp))]
 
     def _apply_gen_vec(self, word, gen, vec, dual=False):
@@ -319,114 +314,77 @@ class CoordAlgebra:
     # -- invariant integral -----------------------------------------------------
 
     def _haar_data(self, word):
-        """Columns spanning the zero-weight block as invariants + generator
-        images; cached per word."""
+        """The vectors c_m = F_i e_k, over the keys k of weight alpha_i, and
+        a span basis of the rows E c_m + tag m (E = (E_1, ..., E_rank));
+        cached per word.  E-image keys are (i, key) with i >= 1 and tags
+        (0, m), so every tag sorts below every E-image key and elimination
+        pivots on the E-image part first."""
         data = self._haar_cache.get(word)
         if data is not None:
             return data
         rank = self.rs.rank
-        field = self.field
-        zero_wt = (0,) * rank
-        keys0 = sorted(self._keys_of_weight(word, zero_wt))
-        pack = {k: n for n, k in enumerate(keys0)}
-
-        # invariants: joint kernel of the raising generators on the block
-        # (tag trick: a residual supported on the negative tag keys alone is
-        # a dependency among the images, i.e. a kernel vector)
-        ker_basis = span_basis(field)
-        aux = KeyIndexer()
-        inv_cols = []
-        for n, key in enumerate(keys0):
-            img = {}
-            for i in range(1, rank + 1):
-                for nk, c in self._gen_on_key(word, ("E", i), key):
-                    img[(i, nk)] = img.get((i, nk), field.zero) + c
-            v = {aux.index(pk): c for pk, c in img.items() if c}
-            v[-1 - n] = field.one
-            r = ker_basis.insert(v)
-            if r is not None and all(k < 0 for k in r):
-                inv_cols.append({-1 - t: c for t, c in r.items()})
-        # complement: images of E_i and F_i landing in weight zero
-        compl_cols = []
-        for i in range(1, rank + 1):
-            for gen, srcwt in (("E", [-x for x in cartan.root_to_fund(
-                    self.rs, cartan.simple_root(self.rs, i))]),
-                    ("F", list(cartan.root_to_fund(
-                        self.rs, cartan.simple_root(self.rs, i))))):
-                for key in sorted(self._keys_of_weight(word, tuple(srcwt))):
-                    col = {}
-                    for nk, c in self._gen_on_key(word, (gen, i), key):
-                        n = pack.get(nk)
-                        if n is None:
-                            raise AssertionError("image left the zero block")
-                        col[n] = col.get(n, field.zero) + c
-                    col = {k: c for k, c in col.items() if c}
-                    if col:
-                        compl_cols.append(col)
-        # decomposition basis with tags identifying the invariant part
-        dec = span_basis(field)
-        ninv = len(inv_cols)
-        for t, col in enumerate(inv_cols + compl_cols):
-            v = dict(col)
-            v[-1 - t] = field.one
-            dec.insert(v)
-        data = (keys0, pack, ninv, inv_cols, dec)
-        self._haar_cache[word] = data
+        one = self.field.one
+        alphas = {cartan.root_to_fund(self.rs, cartan.simple_root(self.rs, i)):
+                  i for i in range(1, rank + 1)}
+        cs = []
+        basis = span_basis(self.field)
+        for key in itertools.product(*(range(self.slot(*s).dim)
+                                       for s in word)):
+            i = alphas.get(self.key_weight(word, key))
+            if i is None:
+                continue
+            c = self._apply_gen_vec(word, ("F", i), {key: one})
+            if c:
+                row = self._raising_image(word, c)
+                row[(0, len(cs))] = one
+                basis.insert(row)
+                cs.append(c)
+        data = self._haar_cache[word] = (cs, basis)
         return data
 
-    def _keys_of_weight(self, word, wt):
-        out = []
-        slots = [self.slot(*s) for s in word]
-        if not word:
-            return [()] if wt == (0,) * self.rs.rank else []
-
-        def rec(j, key, acc):
-            if j == len(slots):
-                if acc == wt:
-                    out.append(key)
-                return
-            for idx in range(slots[j].dim):
-                w = slots[j].weights[idx]
-                rec(j + 1, key + (idx,),
-                    tuple(a + x for a, x in zip(acc, w)))
-
-        rec(0, (), (0,) * self.rs.rank)
-        return out
+    def _raising_image(self, word, vec):
+        """E vec for E = (E_1, ..., E_rank), keyed (i, key)."""
+        return {(i, k): c for i in range(1, self.rs.rank + 1)
+                for k, c in self._apply_gen_vec(word, ("E", i), vec).items()}
 
     def haar(self, elem: CoordElem):
-        """The invariant integral: project each vector leg onto the trivial
-        isotypic component along the span of generator images, then pair."""
+        """The invariant integral h.  For each term (word, f, v), with t the
+        zero-weight part of v, h = f(P t), P the projection of the
+        zero-weight space V_0 onto the invariants I along C (below):
+
+        * Complete reducibility of the finite-dimensional type-1 module V
+          (Jantzen, Lectures on Quantum Groups) gives V_0 = I (+) C,
+          C the zero-weight part of the non-trivial isotypic components.
+        * C = sum_i F_i V_alpha_i.  A non-trivial irreducible component is
+          spanned by F-words on its highest vector, so its zero-weight part
+          is spanned by F-words ending in some F_i, which start from weight
+          alpha_i; conversely the trivial components have no weight
+          alpha_i.  So C is spanned by the c_m = F_i e_k, k of weight
+          alpha_i.
+        * E kills I and is injective on C: a zero-weight vector of a
+          non-trivial component killed by every E_i would be a highest
+          vector of weight 0.  So P t = t - c for the unique c in C with
+          E c = E t.
+        * E t lies in E C, so reducing it against the rows E c_m + tag m
+          leaves only tags r_m, with E t = -sum_m r_m E c_m; by injectivity
+          c = -sum_m r_m c_m.
+
+        Hence h = f(t) + sum_m r_m f(c_m)."""
         field = self.field
+        zero_wt = (0,) * self.rs.rank
         total = field.zero
         for word, fun, vec in elem.terms:
-            if not word:
-                total = total + _pair(field, fun, vec)
+            t = {k: c for k, c in vec.items()
+                 if self.key_weight(word, k) == zero_wt}
+            if not t:
                 continue
-            keys0, pack, ninv, inv_cols, dec = self._haar_data(word)
-            zero_wt = (0,) * self.rs.rank
-            target = {pack[k]: c for k, c in vec.items()
-                      if k in pack}
-            if not target:
-                continue
-            r = dec.reduce(target)
-            if any(k >= 0 for k in r):
-                raise AssertionError("zero-weight block decomposition failed")
-            invpart = {}
-            for tk, c in r.items():
-                t = -1 - tk
-                if t < ninv:
-                    for n, cc in inv_cols[t].items():
-                        nv = invpart.get(n, field.zero) - c * cc
-                        if nv:
-                            invpart[n] = nv
-                        else:
-                            invpart.pop(n, None)
-            val = field.zero
-            for k, c in fun.items():
-                n = pack.get(k)
-                if n is not None and n in invpart:
-                    val = val + c * invpart[n]
-            total = total + val
+            cs, basis = self._haar_data(word)
+            r = basis.reduce(self._raising_image(word, t))
+            if any(k[0] for k in r):
+                raise AssertionError("zero-weight decomposition failed")
+            total = total + _pair(field, fun, t)
+            for (_, m), c in r.items():
+                total = total + c * _pair(field, fun, cs[m])
         return total
 
     # -- zero testing ------------------------------------------------------------
@@ -864,10 +822,15 @@ class CoordElem:
         return CoordElem(alg, out)
 
     def theta_via_action(self):
-        """The same twist through the generic K-vector action machinery;
-        kept as an independent cross-check of the exponent bookkeeping."""
-        coeffs = cartan.two_rho_root(self.alg.rs)
-        return self.act_left(("Kvec", coeffs)).act_right(("Kvec", coeffs))
+        """The same twist through the generic generator action: K_2rho =
+        prod_i K_i^c_i for 2 rho = sum_i c_i alpha_i, applied on both
+        sides; kept as an independent cross-check of theta's exponent
+        bookkeeping (r2exp)."""
+        out = self
+        for i, c in enumerate(cartan.two_rho_root(self.alg.rs), start=1):
+            if c:
+                out = out.act_left(("K", i, c)).act_right(("K", i, c))
+        return out
 
 
 def _outer(a, b):

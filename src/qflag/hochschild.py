@@ -56,23 +56,6 @@ class Chain:
             if len(legs) != degree + 1:
                 raise ValueError("leg count does not match the degree")
 
-    def __add__(self, other):
-        if not isinstance(other, Chain) or other.alg is not self.alg \
-                or other.degree != self.degree:
-            return NotImplemented
-        return Chain(self.alg, self.degree, self.terms + other.terms)
-
-    def __neg__(self):
-        return Chain(self.alg, self.degree,
-                     tuple((-c, legs) for c, legs in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return Chain(self.alg, self.degree,
-                     tuple((c * s, legs) for c, legs in self.terms))
-
     def canonical(self):
         """Hashable syntactic normal form: term list sorted with stringified
         coefficients and per-leg canonical forms."""
@@ -91,10 +74,6 @@ class Chain:
                     break
             tot = tot + v
         return tot
-
-
-def chain(alg, degree, terms) -> Chain:
-    return Chain(alg, degree, terms)
 
 
 def twisted_boundary(ch: Chain, twist="theta") -> Chain:

@@ -403,9 +403,6 @@ class SymbolicField:
             return -self.q_int(-n, d)
         return QScalar.laurent({2 * d * (n - 1 - 2 * k): 1 for k in range(n)})
 
-    def evaluate(self, x, q0):
-        return x.evaluate(q0)
-
     def __repr__(self):
         return "SymbolicField()"
 
@@ -440,11 +437,6 @@ class FixedField:
             return -self.q_int(-n, d)
         return sum((self.q0 ** (d * (n - 1 - 2 * k)) for k in range(n)),
                    start=Q(0))
-
-    def evaluate(self, x, q0):
-        if Q(q0) != self.q0:
-            raise ValueError(f"field is fixed at q={self.q0}, not q={q0}")
-        return x
 
     def __repr__(self):
         return f"FixedField({self.q0})"

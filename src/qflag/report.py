@@ -65,7 +65,10 @@ class CaseConfig:
             if len(set(qs)) != len(qs):
                 raise ValueError(f"q values repeat: {', '.join(map(str, qs))}")
             object.__setattr__(self, "q_values", qs)
-        object.__setattr__(self, "subset", tuple(sorted(self.subset)))
+        subset = tuple(sorted(self.subset))
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"subset repeats: {', '.join(map(str, subset))}")
+        object.__setattr__(self, "subset", subset)
         if self.only is not None:
             for p in self.only:
                 if p not in PHASES:
@@ -73,6 +76,13 @@ class CaseConfig:
             object.__setattr__(self, "only", tuple(self.only))
         if self.cap <= 0:
             raise ValueError("cap must be positive")
+
+    def fields(self):
+        """[(q tag, scalar field)]: one symbolic field, or one fixed field
+        per q value, in order."""
+        if self.q_values is None:
+            return [("symbolic", SymbolicField())]
+        return [(str(q), FixedField(q)) for q in self.q_values]
 
     def echo(self):
         return {
@@ -199,12 +209,7 @@ def run_suite(cfg: CaseConfig) -> Report:
             return "pass", lhs, "", (), ""
         _run(records, "cartan.build", "-", chk)
 
-    if cfg.q_values is None:
-        fields = [("symbolic", SymbolicField())]
-    else:
-        fields = [(str(q0), FixedField(q0)) for q0 in cfg.q_values]
-
-    for qtag, field in fields:
+    for qtag, field in cfg.fields():
         ctx = None
         if "repn" in phases or any(p in phases for p in
                                    ("projection", "invariance", "matrixunits",

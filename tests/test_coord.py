@@ -16,6 +16,7 @@ Oracle values used here were computed by hand:
 """
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,57 @@ def test_haar_modular_property_spot(a1):
         y = phat(alg, mid, j, i)
         assert alg.haar(x * y) == alg.haar(y * x.theta())
         assert alg.haar(x * y) != alg.field.zero
+
+
+def _haar_pool(alg, mid, dim, pairs, count=6, seed=7):
+    """Seeded products of 1..pairs factor pairs mc(i, j, b) mc(k, l, not b),
+    with (k, l) = (i, j) half the time so that many are non-zero."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        x = alg.unit()
+        for _ in range(rng.randint(1, pairs)):
+            i, j = rng.randrange(dim), rng.randrange(dim)
+            k, l = (i, j) if rng.random() < 0.5 else (
+                rng.randrange(dim), rng.randrange(dim))
+            b = rng.random() < 0.5
+            x = x * alg.mc(mid, i, j, b) * alg.mc(mid, k, l, not b)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("family,rank,lam,q,pairs,want", [
+    ("A", 1, (1,), None, 3,
+     ["0", "(s^4)/(1 + s^4)", "(s^6)/(1 + s^4 + s^8 + s^12)", "0",
+      "(s^4)/(1 + s^4 + s^8)", "0"]),
+    ("A", 2, (1, 0), None, 2,
+     ["0", "0", "(1)/(1 + s^4 + s^8)", "(s^4)/(1 + s^4 + s^8)", "0", "0"]),
+    ("A", 2, (1, 1), Q(1, 2), 1,
+     ["0", "64/2125", "16/425", "32/425", "8/1785", "0"]),
+    ("B", 2, (0, 1), Q(1, 2), 2,
+     ["0", "0", "0", "0", "0", "2048/438185"]),
+], ids=["A1-symbolic", "A2-S2-symbolic", "A2-full-half", "B2-S1-half"])
+def test_haar_pinned_values(family, rank, lam, q, pairs, want):
+    """Haar values of a seeded pool (barred and unbarred slots, words of up
+    to 2 * pairs letters), pinned from a second decomposition of the
+    zero-weight space: the invariants as the joint kernel of the E_i, the
+    complement spanned by the E- and F-images landing in weight zero."""
+    field = SymbolicField() if q is None else FixedField(q)
+    alg, mid = make(family, rank, lam, field)
+    dim = alg.modules[mid].dim
+    got = [str(alg.haar(x)) for x in _haar_pool(alg, mid, dim, pairs)]
+    assert got == want
+
+
+def test_haar_two_invariants(a1):
+    """The word (V, Vbar, V, Vbar) of A1 has a two-dimensional space of
+    invariants; values pinned as in test_haar_pinned_values."""
+    alg, mid = a1
+    a, b, c = alg.mc(mid, 0, 0), alg.mc(mid, 1, 1), alg.mc(mid, 0, 1)
+    assert str(alg.haar(a * a.star() * b * b.star())) == \
+        "(s^4)/(1 + s^4 + s^8)"
+    assert str(alg.haar(a * a.star() * c * c.star())) == \
+        "(s^10)/(1 + 2*s^4 + 2*s^8 + s^12)"
 
 
 # -- zero testing -------------------------------------------------------------

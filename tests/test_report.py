@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,18 @@ def test_subset_is_sorted_and_cap_positive():
     assert CaseConfig("B", 2, (2, 1)).subset == (1, 2)
     with pytest.raises(ValueError, match="cap"):
         CaseConfig("A", 1, cap=0)
+
+
+def test_repeated_subset_index_rejected():
+    with pytest.raises(ValueError, match="subset repeats: 2, 2"):
+        CaseConfig("A", 2, (2, 2))
+
+
+def test_fields_one_per_q_value():
+    assert [tag for tag, _ in CaseConfig("A", 1).fields()] == ["symbolic"]
+    fields = CaseConfig("A", 1, q_values=("1/2", "2/3")).fields()
+    assert [(tag, f.q0) for tag, f in fields] == [
+        ("1/2", Fraction(1, 2)), ("2/3", Fraction(2, 3))]
 
 
 def test_root_label():
@@ -97,6 +110,24 @@ def test_evaluated_mode_repeats_per_q():
     assert [(r.name, r.q) for r in rep.records] == [
         ("pairing.1", "1/2"), ("pairing.1", "2/3")]
     assert rep.verdict == "pass"
+
+
+def test_failed_context_build_does_not_abort_suite(monkeypatch):
+    """A context build that raises becomes one failed repn.build record per
+    q value; that q value's other phases are skipped, and the later q
+    values and the kahler phase still run."""
+    def broken(*args):
+        raise RuntimeError("no context")
+    monkeypatch.setattr("qflag.report.flag_context", broken)
+    rep = run_suite(CaseConfig("A", 1, q_values=("1/2", "2/3")))
+    per_q = [(r.name, r.q, r.status, r.note) for r in rep.records
+             if r.q not in ("-", "classical")]
+    assert per_q == [
+        ("repn.build", "1/2", "fail", "RuntimeError: no context"),
+        ("repn.build", "2/3", "fail", "RuntimeError: no context")]
+    kahler = [r for r in rep.records if r.q == "classical"]
+    assert len(kahler) == 5 and {r.status for r in kahler} == {"pass"}
+    assert rep.verdict == "fail"
 
 
 def test_determinism_byte_identical():
@@ -247,6 +278,13 @@ def test_cli_rep(capsys):
     assert "dim 2" in out
 
 
+def test_cli_rep_prints_one_module_per_q(capsys):
+    assert main(["rep", "--type", "A", "--rank", "1", "--q", "1/2,2/3"]) == 0
+    out = capsys.readouterr().out
+    assert "(q = 1/2)" in out and "(q = 2/3)" in out
+    assert "norm 1/2" in out and "norm 2/3" in out
+
+
 def test_cli_pairing_exit_zero(capsys):
     assert main(["pairing", "--type", "A", "--rank", "2", "--subset", "2",
                  "--q", "1/2"]) == 0
@@ -267,6 +305,16 @@ def test_cli_repeated_q_exits_two(capsys, qs):
                  "--q", qs]) == 2
     captured = capsys.readouterr()
     assert "q values repeat" in captured.err
+    assert "pairing.1" not in captured.out
+
+
+def test_cli_repeated_subset_exits_two(capsys):
+    """A repeated subset index is a configuration error, not a second
+    spelling of the same case with a different report body."""
+    assert main(["pairing", "--type", "A", "--rank", "2", "--subset", "2,2",
+                 "--q", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert "subset repeats: 2, 2" in captured.err
     assert "pairing.1" not in captured.out
 
 
@@ -325,6 +373,14 @@ def test_cli_config_subset_array(tmp_path, capsys):
     assert main(["roots", "--config", str(cfg)]) == 0
     assert "weight of the projection module: [0, 1, 0]" in \
         capsys.readouterr().out
+
+
+def test_cli_config_repeated_subset_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 2, "subset": [2, 2],
+                               "q": "1/2"}))
+    assert main(["pairing", "--config", str(cfg)]) == 2
+    assert "subset repeats: 2, 2" in capsys.readouterr().err
 
 
 def test_cli_config_q_array(tmp_path, capsys):
