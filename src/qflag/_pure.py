@@ -8,19 +8,27 @@ Two implementations of the same incremental-echelon interface:
   common denominator, eliminated by cross-multiplication with gcd stripping
   (fraction-free in the style of Bareiss 1968).
 
-A stored row is pivot-normalized (value 1 at its pivot, the row's largest
-key), so one descending elimination pass terminates: eliminating the largest
-pivot key only introduces smaller keys.  It follows that insert stores and
-returns the same row for vec and for any non-zero multiple of vec.
+A stored row is pivot-normalized (the row's largest key is its pivot), so
+one descending elimination pass terminates: eliminating the largest pivot
+key only introduces smaller keys.  It follows that insert stores and
+returns the same row for vec and for any non-zero multiple of vec.  insert
+returns the stored row itself, in the kernel's own scalars, and it stands
+for row / row[pivot]: FieldSpanBasis stores field elements with 1 at the
+pivot, FractionSpanBasis coprime integers with the common denominator at
+the pivot.  ratio(num, den) turns such scalars back into an exact field
+element.
 
-Each kernel also builds closure images in its own scalars.  encode_action
-turns a generator action [(key, coeff)] into an encoded action
-(den, ((key, num), ...)) with coeff == num / den -- FieldSpanBasis keeps
-field elements with den 1, FractionSpanBasis integers -- and image(row,
-action) forms a non-zero multiple of sum_k row[k] * action(k) for a stored
-row.  FractionSpanBasis works on the stored integer row and the integer
-actions under a running lcm of their denominators, so a closure at fixed q
-makes no Fraction until insert returns its row.
+Each kernel also builds closure images in its own scalars.  Image keys are
+non-negative ints, and a generator acts on a key r through the entry
+tables[r % nb][r // stride % radix] = (den, ((dk, num), ...)): it sends r to
+the keys r + dk * stride with coefficients num / den (qflag.coord packs a
+block and its leg indices into r this way).  encode_action builds an entry
+from [(dk, coeff)] -- FieldSpanBasis keeps field elements with den 1,
+FractionSpanBasis integers -- and image(row, tables, nb, stride, radix)
+forms a non-zero multiple of that action on the row returned by insert.
+FractionSpanBasis combines the integer row with the integer entries under
+a running lcm of their denominators, so a closure at fixed q does no
+Fraction arithmetic beyond filling its table entries.
 """
 
 from __future__ import annotations
@@ -75,15 +83,22 @@ class FieldSpanBasis:
 
     @staticmethod
     def encode_action(pairs):
-        """(1, ((key, coeff), ...)): field elements need no denominator."""
+        """(1, ((dk, coeff), ...)): field elements need no denominator."""
         return 1, tuple(pairs)
 
-    def image(self, row, action):
-        """sum_k row[k] * action(k) with zeros dropped; action(k) is the
-        encoded action on key k."""
+    @staticmethod
+    def ratio(num, den):
+        return num / den
+
+    @staticmethod
+    def image(row, tables, nb, stride, radix):
+        """The action on row with zeros dropped: key r goes through the
+        entry tables[r % nb][r // stride % radix] (see the module
+        docstring); row[pivot] == 1, so this is the exact image."""
         out = {}
-        for k, c in row.items():
-            for j, f in action(k)[1]:
+        for r, c in row.items():
+            for dk, f in tables[r % nb][r // stride % radix][1]:
+                j = r + dk * stride
                 cur = out.get(j)
                 nv = c * f if cur is None else cur + c * f
                 if nv:
@@ -152,6 +167,8 @@ class FractionSpanBasis:
         return {k: Fraction(n, dv) for k, n in nv.items()}
 
     def insert(self, vec):
+        """Add vec to the span; returns the stored integer row, with the
+        common denominator at its pivot, if the span grew, else None."""
         dv, nv = self._reduce_int(*self._to_int(vec))
         if not nv:
             return None
@@ -168,7 +185,7 @@ class FractionSpanBasis:
             den //= g
             nv = {j: n // g for j, n in nv.items()}
         self._rows[k] = (den, nv)
-        return {j: Fraction(n, den) for j, n in nv.items()}
+        return nv
 
     def rows(self):
         return [{j: Fraction(n, den) for j, n in nv.items()}
@@ -176,7 +193,7 @@ class FractionSpanBasis:
 
     @staticmethod
     def encode_action(pairs):
-        """(den, ((key, num), ...)) with coeff == num / den for each pair."""
+        """(den, ((dk, num), ...)) with coeff == num / den for each pair."""
         den = 1
         for _, f in pairs:
             d = f.denominator
@@ -184,24 +201,29 @@ class FractionSpanBasis:
         return den, tuple((k, f.numerator * (den // f.denominator))
                           for k, f in pairs)
 
-    def image(self, row, action):
-        """An integer multiple of sum_k row[k] * action(k) with zeros
-        dropped, for a row returned by insert; action(k) is the encoded
-        action on key k.  The stored integer row is used as is, and the
-        partial sum is rescaled whenever an action brings a denominator
+    @staticmethod
+    def ratio(num, den):
+        return Fraction(num, den)
+
+    @staticmethod
+    def image(row, tables, nb, stride, radix):
+        """An integer multiple of the action on an integer row returned by
+        insert, with zeros dropped: key r goes through the entry
+        tables[r % nb][r // stride % radix] (see the module docstring).
+        The partial sum is rescaled whenever an entry brings a denominator
         that does not divide the running lcm."""
-        _, num = self._rows[max(row)]
         out = {}
         den = 1
-        for k, c in num.items():
-            d, pairs = action(k)
+        for r, c in row.items():
+            d, pairs = tables[r % nb][r // stride % radix]
             if den % d:
                 m = d // gcd(den, d)
                 den *= m
                 for j in out:
                     out[j] *= m
             c *= den // d
-            for j, n in pairs:
+            for dk, n in pairs:
+                j = r + dk * stride
                 x = out.get(j, 0) + c * n
                 if x:
                     out[j] = x

@@ -76,7 +76,8 @@ def _config_value(key, value):
 
 
 def _merge_config(args):
-    """Fill unset flags from the --config file (flags win)."""
+    """Fill unset flags from the --config file (flags win).  Only an absent
+    flag is unset: an explicit empty --subset or --q still wins."""
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
@@ -88,7 +89,7 @@ def _merge_config(args):
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
     for key in _CONFIG_KEYS:
-        if key in data and getattr(args, key, None) in (None, ""):
+        if key in data and getattr(args, key, None) is None:
             setattr(args, key, _config_value(key, data[key]))
 
 

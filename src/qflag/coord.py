@@ -90,21 +90,44 @@ with the weight components of every f_t in member order:
   per-member verdicts, witnesses and cap overruns do not depend on the
   batching.
 
-Two shortcuts keep closures cheap without changing any result:
+Closures run on integers wherever the scalars allow:
 
-* Memoized generator action.  A registered module never changes and a
-  slot's action tables depend only on (module, barred), so pi(gen) on a key
-  of a word, or its transpose, is a function of (word, gen, key, dual)
-  alone.  Each algebra memoizes _gen_on_key, and its encoding for the span
-  kernel, on exactly that tuple, as immutable tuples.
-* Images in the kernel's scalars.  A closure image is formed by the span
-  kernel from its stored row and the encoded per-key actions; at fixed q
-  that is a non-zero integer multiple of the Fraction image.  Scaling does
-  not change the span, and the kernel stores rows pivot-normalized, so the
-  stored rows are the Fraction computation's rows.  Zero partial sums stay
-  zero under the scaling, so even the key order of each image, and with it
-  the first-seen packing of new keys, is unchanged; rows, pairings,
-  witnesses and certificates are identical.
+* Offset tables.  A registered module never changes and a slot's action
+  tables depend only on (module, barred), so pi(gen) on a key of a word,
+  or its transpose, is a function of (word, gen, key, dual) alone.  Each
+  algebra keeps, per (word, gen, dual), a table from the key's index i in
+  the word's tensor space (lexicographic) to the action encoded for the
+  span kernel, (den, ((dk, num), ...)): image index i + dk, coefficient
+  num / den.  Entries are filled on first lookup, never for the whole
+  space (a length-4 word of a 26-dimensional module has 456,976 keys);
+  weights get a per-word table the same way.  _gen_on_key, which the
+  element actions use, is memoized on the same tuple.
+* Radix keys.  A closure over a stack of B blocks keys its rows by
+  r = block + B (i_0 + R_0 (i_1 + ...)), i_s the index of the leg-s key
+  and R_s the largest leg-s word dimension over the blocks.  With
+  stride_s = B R_0 ... R_(s-1), acting on leg s adds dk stride_s to r,
+  dropping the last leg s of a key is r mod stride_s, and the raising
+  closure of leg s holds the matching entry at block + B i_s.
+* Integer rows.  The span kernel forms each image from its stored row and
+  the table entries in its own scalars, and insert returns the stored row
+  itself, standing for row / row[pivot].  At fixed q rows and images are
+  integers from generator action to the pairing: a contraction of two
+  rows is the exact one times den_f den_w, their pivot entries, which
+  changes no span, and a non-zero pairing's witness is formed exactly as
+  the integer sum over den_f den_w.
+
+Pivot order.  The kernels pivot on the largest key, so radix keys give
+other stored rows than another key order would, but the same spans.  A
+closure inserts its seeds, then the images of each stored row in order.
+If two runs agree on the span S_k of their first k stored rows, their k-th
+rows differ by a non-zero factor and a vector of S_(k-1), whose images are
+queued, and inserted, before those of the k-th row; so by induction the
+span after every candidate is the same in both runs, whatever rows
+represent it.  Which candidates are kept, every closure dimension, every
+verdict and every zero certificate are therefore independent of the pivot
+order.  Only a non-zero witness value may change, because it pairs a
+differently normalized row, and for two legs also the last, partial,
+dimension: the leg-0 seeds are the contractions of different leg-1 rows.
 """
 
 from __future__ import annotations
@@ -112,10 +135,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from math import prod
+from operator import add, mul
 
 from qflag import cartan
-from qflag.lin import KeyIndexer, kernel, span_basis
+from qflag.lin import kernel, span_basis
 from qflag.repn import CapExceeded, HWModule
 
 DEFAULT_CAP = 6000
@@ -134,10 +158,13 @@ class ZeroCertificate:
     (dim U+v, dim (U-)^T f) for a 1-leg test and (dim U+v0, dim U+v1,
     dim (1 (x) U-)^T D, dim (U-)^T G) for a 2-leg test.  On a non-zero
     verdict the last one is only the part built before the first non-zero
-    pairing.  A zero verdict of a batch member that shared a joint closure
-    carries the joint lowering dimensions instead.  It is () when the
-    terms cancel outright; groups counts the distinct (words, vector legs)
-    after cancellation."""
+    pairing, and the witness holds the exact value of that pairing: a
+    closure row paired with a raising row, each as normalized by the span
+    kernel, so the value depends on the pivot order (see the module
+    docstring) but never on integer scaling.  A zero verdict of a batch
+    member that shared a joint closure carries the joint lowering
+    dimensions instead.  It is () when the terms cancel outright; groups
+    counts the distinct (words, vector legs) after cancellation."""
 
     zero: bool
     closure_dims: tuple[int, ...]
@@ -202,8 +229,10 @@ class CoordAlgebra:
         self._closure_cache = {}
         self._haar_cache = {}
         self._gen_cache = {}
-        self._encoded_cache = {}
-        self._encode = kernel(field).encode_action
+        self._shapes = {}
+        self._action_tables = {}
+        self._weight_tables = {}
+        self._kernel = kernel(field)
 
     def register(self, m: HWModule) -> int:
         if m.rs is not self.rs and m.rs != self.rs:
@@ -250,16 +279,6 @@ class CoordAlgebra:
         if out is None:
             out = self._gen_cache[ck] = tuple(
                 self._gen_action(word, gen, key, dual))
-        return out
-
-    def _encoded_gen_on_key(self, word, gen, key, dual):
-        """_gen_on_key encoded for the algebra's span kernel; memoized on
-        the same argument tuple."""
-        ck = (word, gen, key, dual)
-        out = self._encoded_cache.get(ck)
-        if out is None:
-            out = self._encoded_cache[ck] = self._encode(
-                self._gen_on_key(word, gen, key, dual))
         return out
 
     def _gen_action(self, word, gen, key, dual):
@@ -310,6 +329,54 @@ class CoordAlgebra:
             for a, x in enumerate(self.slot(*slot).weights[key[j]]):
                 wt[a] += x
         return tuple(wt)
+
+    # -- keys as indices -------------------------------------------------------
+
+    def _shape(self, word):
+        """(dims, places) of the word's tensor space, cached per word: the
+        slot dimensions, and the place value of each slot in the
+        lexicographic index sum_j key[j] * places[j] of a key."""
+        shape = self._shapes.get(word)
+        if shape is None:
+            dims = tuple(self.slot(*s).dim for s in word)
+            places = tuple(prod(dims[j + 1:]) for j in range(len(dims)))
+            shape = self._shapes[word] = (dims, places)
+        return shape
+
+    def _key_index(self, word, key):
+        """The index of key in the word's tensor space."""
+        return sum(map(mul, key, self._shape(word)[1]))
+
+    def _index_key(self, word, i):
+        """The key of index i in the word's tensor space."""
+        dims, places = self._shape(word)
+        return tuple(i // p % d for d, p in zip(dims, places))
+
+    def _action_table(self, word, gen, dual):
+        """The lazy table i -> the action of gen on the key of index i of
+        the word (transposed when dual is set), encoded for the span kernel
+        as (den, ((dk, num), ...)): image index i + dk, coefficient
+        num / den.  Cached per (word, gen, dual); see the module
+        docstring."""
+        tk = (word, gen, dual)
+        table = self._action_tables.get(tk)
+        if table is None:
+            encode = self._kernel.encode_action
+
+            def fill(i):
+                key = self._index_key(word, i)
+                return encode([(self._key_index(word, nk) - i, c) for nk, c
+                               in self._gen_action(word, gen, key, dual)])
+            table = self._action_tables[tk] = _LazyTable(fill)
+        return table
+
+    def _weight_table(self, word):
+        """The lazy table i -> weight of the key of index i of the word."""
+        table = self._weight_tables.get(word)
+        if table is None:
+            table = self._weight_tables[word] = _LazyTable(
+                lambda i: self.key_weight(word, self._index_key(word, i)))
+        return table
 
     # -- invariant integral -----------------------------------------------------
 
@@ -486,137 +553,115 @@ class CoordAlgebra:
         dicts over the stacked legs `order`, in order) under the transposed
         F_i one leg at a time, from the last leg to leg 0, and contract
         each leg's closure rows with the raising closure rows of that leg
-        (see the module docstring).  Keys are (block, k_0, ..., k_s).  An
-        inner leg's closure is built in full, which releases its working
-        span basis before the contractions grow; the rows of leg 0 are
-        paired as they are inserted, and the test stops at the first
-        non-zero pairing."""
-        dims = tuple(dim for _, _, dim in legs)
-        words = [k[0] for k in order]
-        indexer = KeyIndexer()
-        seeds = [v for fun in funs for v in self._weight_split(
-            indexer, words, (((gi,) + fkeys, c) for gi, k in enumerate(order)
-                             for fkeys, c in fun[k].items()))]
-        zero = self.field.zero
+        (see the module docstring).  Keys are radix keys of the blocks'
+        legs 0..s.  An inner leg's closure is built in full, which releases
+        its working span basis before the contractions grow; the rows of
+        leg 0 are paired as they are inserted, and the test stops at the
+        first non-zero pairing, whose witness is the exact value."""
+        dims = tuple(dim for _, dim in legs)
+        codec = _Radix(self, [k[0] for k in order])
+        seeds = [v for fun in funs for v in self._weight_split(codec, (
+            (gi, fkeys, c) for gi, k in enumerate(order)
+            for fkeys, c in fun[k].items()))]
         for s in reversed(range(len(legs))):
-            rows = self._closure_rows(indexer, words, seeds, [
+            rows = self._closure_rows(codec, seeds, [
                 (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True, cap)
             if s:
                 rows = list(rows)
-            contracted = KeyIndexer()
             seeds = []
             fdim = 0
             for row in rows:
                 fdim += 1
-                for g in self._contract(indexer, words, row, legs[s],
-                                        contracted):
+                for g, w in self._contract(codec, row, legs[s]):
                     if s:
                         seeds.append(g)
-                    elif val := sum(g.values(), zero):
+                    elif val := reduce(add, g.values()):
+                        val = self._kernel.ratio(
+                            val, row[max(row)] * w[max(w)])
                         return ZeroCertificate(
                             False, dims + (fdim,), len(order),
                             witness=f"pairs to {val} on a closure "
                             + ("vector" if len(legs) == 1 else "pair"))
             dims += (fdim,)
-            indexer = contracted
-            words = [w[:s] for w in words]
+            if s:
+                codec = _Radix(self, [w[:s] for w in codec.words])
         return ZeroCertificate(True, dims, len(order))
 
-    def _contract(self, indexer, words, row, leg, out):
+    def _contract(self, codec, row, leg):
         """Contract the last leg of a weight-homogeneous row with each row
-        of the raising closure leg of its weight, matching keys by block;
-        yield the non-zero contractions in leg row order, keyed by out's
-        packing of the row keys without their last leg.  A leg key that
-        the leg's closure never indexed is zero on every closure row, so
-        its entries are dropped rather than indexed in the cached closure."""
-        zero = self.field.zero
-        ix, by_wt, _ = leg
+        w of the raising closure leg of its weight, matching keys by block;
+        yield (contraction, w) for the non-zero contractions, in leg row
+        order.  A contraction is keyed by the row's keys without their
+        last leg (r mod stride); it is the exact contraction times the two
+        rows' pivot entries."""
+        by_wt, _ = leg
+        nb = codec.nb
+        stride = codec.strides[-1]
         by_p = {}
-        for pk, c in row.items():
-            bk = indexer.key(pk)
-            p = ix.get((bk[0], bk[-1]))
-            if p is not None:
-                by_p.setdefault(p, []).append((out.index(bk[:-1]), c))
-        if not by_p:
-            return
-        wt = self._packed_weight(indexer, words, next(iter(row)))
-        for w in by_wt.get(wt[-1:], ()):
+        for r, c in row.items():
+            by_p.setdefault(r % nb + nb * (r // stride), []).append(
+                (r % stride, c))
+        for w in by_wt.get(codec.weight(next(iter(row)))[-1:], ()):
             g = {}
             for p, x in w.items():
                 for key, c in by_p.get(p, ()):
-                    g[key] = g.get(key, zero) + c * x
+                    cur = g.get(key)
+                    g[key] = c * x if cur is None else cur + c * x
             g = {key: c for key, c in g.items() if c}
             if g:
-                yield g
+                yield g, w
 
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
-        (word, canonical vec items) blocks: (indexer, {(weight,): rows},
-        dim).  Cached; a cached closure larger than the cap raises
-        CapExceeded, as building it afresh would."""
+        (word, canonical vec items) blocks: ({(weight,): rows}, dim), rows
+        keyed block + len(sig) * i by the radix keys of the one-leg blocks.
+        Cached; a cached closure larger than the cap raises CapExceeded, as
+        building it afresh would."""
         cached = self._closure_cache.get(sig)
         if cached is not None:
-            if cached[2] > cap:
+            if cached[1] > cap:
                 raise _cap_exceeded(cap)
             return cached
-        indexer = KeyIndexer()
-        words = [(w,) for w, _ in sig]
-        seeds = self._weight_split(indexer, words, (
-            ((gi, key), c)
+        codec = _Radix(self, [(w,) for w, _ in sig])
+        seeds = self._weight_split(codec, (
+            (gi, (key,), c)
             for gi, (_, vec_items) in enumerate(sig) for key, c in vec_items))
         raising = [(0, ("E", i)) for i in range(1, self.rs.rank + 1)]
         by_wt = {}
-        for row in self._closure_rows(indexer, words, seeds, raising, False,
-                                      cap):
-            wt = self._packed_weight(indexer, words, next(iter(row)))
-            by_wt.setdefault(wt, []).append(row)
-        out = (indexer, by_wt, sum(len(rows) for rows in by_wt.values()))
+        for row in self._closure_rows(codec, seeds, raising, False, cap):
+            by_wt.setdefault(codec.weight(next(iter(row))), []).append(row)
+        out = (by_wt, sum(len(rows) for rows in by_wt.values()))
         self._closure_cache[sig] = out
         return out
 
-    def _leg_action(self, indexer, words, s, gen, dual):
-        """pk -> the encoded action of gen on leg s of the packed key pk,
-        with the image keys packed."""
-        index, key = indexer.index, indexer.key
-        encoded = self._encoded_gen_on_key
-
-        def action(pk):
-            bk = key(pk)
-            head, tail = bk[:1 + s], bk[2 + s:]
-            den, pairs = encoded(words[bk[0]][s], gen, bk[1 + s], dual)
-            return den, [(index(head + (nk,) + tail), c) for nk, c in pairs]
-        return action
-
-    def _packed_weight(self, indexer, words, pk):
-        """Per-leg weights of the packed key (block, k_0, ..., k_n-1)."""
-        bk = indexer.key(pk)
-        return tuple(self.key_weight(w, k) for w, k in zip(words[bk[0]],
-                                                            bk[1:]))
-
-    def _weight_split(self, indexer, words, items):
-        """Pack ((block, k_0, ..., k_n-1), coeff) items and split them into
-        weight-homogeneous vectors, in sorted weight order."""
+    def _weight_split(self, codec, items):
+        """Encode (block, (k_0, ..., k_n-1), coeff) items as radix keys and
+        split them into weight-homogeneous vectors, in sorted weight
+        order."""
         zero = self.field.zero
         by_wt = {}
-        for bk, c in items:
-            pk = indexer.index(bk)
-            blk = by_wt.setdefault(self._packed_weight(indexer, words, pk), {})
-            blk[pk] = blk.get(pk, zero) + c
+        for block, keys, c in items:
+            r = codec.encode(block, keys)
+            blk = by_wt.setdefault(codec.weight(r), {})
+            blk[r] = blk.get(r, zero) + c
         return [by_wt[wt] for wt in sorted(by_wt)]
 
-    def _closure_rows(self, indexer, words, seeds, gens, dual, cap):
+    def _closure_rows(self, codec, seeds, gens, dual, cap):
         """Span closure of the seed vectors under gens, yielding each stored
         row as soon as it is inserted (a caller may stop early).
 
-        Keys are packed (block, k_0, ..., k_n-1); block b has leg words
-        words[b], and a generator (s, gen) acts on leg s alone -- on vectors,
-        or transposed on functionals when dual is set.  Weight-homogeneous
-        seeds give weight-homogeneous rows, because every generator moves
-        weight by a fixed root.  Images are formed by the kernel in its own
-        scalars from the memoized encoded actions.  The cap is checked after
-        every kept insert, seeds included."""
+        Keys are the codec's radix keys, and a generator (s, gen) acts on
+        leg s alone -- on vectors, or transposed on functionals when dual
+        is set -- by the offset tables of each block's leg-s word.
+        Weight-homogeneous seeds give weight-homogeneous rows, because
+        every generator moves weight by a fixed root.  Images are formed by
+        the kernel in its own scalars.  The cap is checked after every kept
+        insert, seeds included."""
         basis = span_basis(self.field)
-        actions = [self._leg_action(indexer, words, s, gen, dual)
+        image = basis.image
+        nb = codec.nb
+        actions = [([self._action_table(w[s], gen, dual)
+                     for w in codec.words], codec.strides[s], codec.radix[s])
                    for s, gen in gens]
         queue = []
 
@@ -626,8 +671,8 @@ class CoordAlgebra:
             while qi < len(queue):
                 v = queue[qi]
                 qi += 1
-                for act in actions:
-                    yield basis.image(v, act)
+                for tables, stride, radix in actions:
+                    yield image(v, tables, nb, stride, radix)
 
         for v in candidates():
             if not v:
@@ -638,6 +683,55 @@ class CoordAlgebra:
                     raise _cap_exceeded(cap)
                 queue.append(r)
                 yield r
+
+
+class _Radix:
+    """Radix keys of a stack of blocks; block b has leg words words[b].  The
+    key of (b, k_0, ..., k_n-1) is r = b + B (i_0 + R_0 (i_1 + ...)), i_s
+    the index of k_s in the tensor space of words[b][s], B the number of
+    blocks and R_s the largest leg-s word dimension over the blocks, so
+    leg s has stride B R_0 ... R_(s-1) and digit r // stride_s % R_s."""
+
+    __slots__ = ("alg", "words", "nb", "radix", "strides")
+
+    def __init__(self, alg, words):
+        self.alg = alg
+        self.words = words
+        self.nb = len(words)
+        self.radix = [max(prod(alg._shape(w[s])[0]) for w in words)
+                      for s in range(len(words[0]))]
+        self.strides = list(itertools.accumulate(self.radix[:-1], mul,
+                                                 initial=self.nb))
+
+    def encode(self, block, keys):
+        key_index = self.alg._key_index
+        return block + sum(key_index(w, k) * st for w, k, st in zip(
+            self.words[block], keys, self.strides))
+
+    def digits(self, r):
+        """(b, (i_0, ..., i_n-1)) of the radix key r."""
+        return r % self.nb, tuple(r // st % rad for st, rad in zip(
+            self.strides, self.radix))
+
+    def weight(self, r):
+        """Per-leg weights of the radix key r."""
+        b, ix = self.digits(r)
+        table = self.alg._weight_table
+        return tuple(table(w)[i] for w, i in zip(self.words[b], ix))
+
+
+class _LazyTable(dict):
+    """A dict that fills a missing entry from fill(key) on lookup."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
 
 
 def _cap_exceeded(cap):

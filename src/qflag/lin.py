@@ -25,29 +25,3 @@ def span_basis(field):
     """A fresh SpanBasis suited to the field's element type."""
     return kernel(field)()
 
-
-class KeyIndexer:
-    """Deterministic packing of hashable keys into dense ints, in first-seen
-    order (elimination pivots then depend only on insertion order)."""
-
-    def __init__(self):
-        self._idx = {}
-        self._keys = []
-
-    def index(self, key) -> int:
-        i = self._idx.get(key)
-        if i is None:
-            i = len(self._keys)
-            self._idx[key] = i
-            self._keys.append(key)
-        return i
-
-    def get(self, key):
-        """The index of key, or None if it was never indexed."""
-        return self._idx.get(key)
-
-    def key(self, i):
-        return self._keys[i]
-
-    def __len__(self):
-        return len(self._keys)

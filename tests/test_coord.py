@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import cartan
-from qflag.coord import CoordAlgebra, ZeroCertificate
+from qflag.coord import CoordAlgebra, ZeroCertificate, _Radix
 from qflag.qscalar import FixedField, QScalar, SymbolicField, classical_field
 from qflag.repn import CapExceeded, hw_module
 
@@ -592,3 +592,58 @@ def test_gen_on_key_memo_matches_fresh_algebra(subset, field):
         fresh = CoordAlgebra(alg.rs, field)
         fresh.register(m)
         assert alg._gen_on_key(*call) == fresh._gen_on_key(*call), call
+
+
+# -- radix keys and offset tables ---------------------------------------------
+
+
+def test_radix_keys_round_trip_and_are_injective(a2):
+    """Every key of a stack whose blocks have leg words of length 0, 2 and
+    4, barred slots included (the cycle's shape), decodes to its block and
+    leg indices, each index to its leg key, and no two keys collide."""
+    alg, mid = a2
+    m, mb = (mid, False), (mid, True)
+    words = [((), (m, mb)), ((m, mb), (m, mb, mb, m)), ((mb, m, m, mb), ())]
+    codec = _Radix(alg, words)
+    assert codec.radix == [81, 81] and codec.strides == [3, 243]
+    seen = set()
+    for b, legs in enumerate(words):
+        spaces = [itertools.product(range(3), repeat=len(w)) for w in legs]
+        for keys in itertools.product(*spaces):
+            r = codec.encode(b, keys)
+            blk, ix = codec.digits(r)
+            assert blk == b
+            assert tuple(alg._index_key(w, i)
+                         for w, i in zip(legs, ix)) == keys
+            assert codec.weight(r) == tuple(alg.key_weight(w, k)
+                                            for w, k in zip(legs, keys))
+            seen.add(r)
+    assert len(seen) == 9 + 9 * 81 + 81
+
+
+@pytest.mark.parametrize("family,rank,subset,field", [
+    ("A", 2, (), FixedField(Q(1, 2))),
+    ("A", 1, (), SymbolicField()),
+], ids=["A2-S0-q12", "A1-symbolic"])
+def test_offset_tables_match_gen_on_key(family, rank, subset, field):
+    """Every entry (den, ((dk, num), ...)) of an action table, decoded as
+    the keys of index i + dk with coefficients num / den, is _gen_on_key
+    on the key of index i, for E and F, on vectors and on functionals."""
+    from qflag.flagproj import flag_context
+
+    alg = flag_context(family, rank, subset, field).alg
+    (m,) = alg.modules
+    slots = [(0, False), (0, True)]
+    words = [(s,) for s in slots] + list(itertools.product(slots, repeat=2))
+    for word in words:
+        for gen in [(kind, i) for kind in ("E", "F")
+                    for i in range(1, rank + 1)]:
+            for dual in (False, True):
+                table = alg._action_table(word, gen, dual)
+                for i in range(m.dim ** len(word)):
+                    den, pairs = table[i]
+                    got = tuple((alg._index_key(word, i + dk),
+                                 alg._kernel.ratio(num, den))
+                                for dk, num in pairs)
+                    key = alg._index_key(word, i)
+                    assert got == alg._gen_on_key(word, gen, key, dual)

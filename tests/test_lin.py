@@ -3,7 +3,9 @@ each other.
 
 The two implementations (generic field kernel, integer-row kernel) must
 produce identical spans, ranks, and reductions on identical input order,
-and closure images that insert as the same row.
+and closure images that insert as the same row.  insert returns the stored
+row in the kernel's own scalars, standing for row / row[pivot]; _exact
+turns it back into Fractions.
 """
 
 from fractions import Fraction as Q
@@ -12,10 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflag._pure import FieldSpanBasis, FractionSpanBasis
-from qflag.lin import KeyIndexer, kernel_name, span_basis
+from qflag.lin import kernel_name, span_basis
 from qflag.qscalar import FixedField, QScalar, SymbolicField
 
 IMPLS = [FieldSpanBasis, FractionSpanBasis]
+
+
+def _exact(row):
+    """The Fraction vector a stored row returned by insert stands for."""
+    den = row[max(row)]
+    return {k: Q(c) / den for k, c in row.items()}
 
 
 def _dense_rank(vectors, n):
@@ -62,7 +70,7 @@ def test_impls_agree_exactly(vecs, probe):
         basis = impl()
         grew = [basis.insert(v) for v in vecs]
         results.append((basis.dim,
-                        [g if g is None else dict(g) for g in grew],
+                        [g if g is None else _exact(g) for g in grew],
                         sorted((sorted(r.items()) for r in basis.rows())),
                         dict(basis.reduce(probe))))
     for other in results[1:]:
@@ -113,22 +121,30 @@ action_lists = st.lists(
 @settings(max_examples=60)
 @given(vector_lists, action_lists)
 def test_images_are_multiples_of_the_exact_image(vecs, acts):
-    """For every stored row r, the field kernel's image is exactly
-    sum_k r[k] * act_k and the integer kernel's image is an integer multiple
-    of it by one non-zero factor, so both insert as the same row."""
+    """For every stored row r, standing for the exact row e, the field
+    kernel's image is exactly sum_k e[k] * act_k and the integer kernel's
+    image is an integer multiple of it by one non-zero factor, so both
+    insert as the same row.  Keys are k = b + 2 i (two blocks b, digits i
+    of radix 4, stride 2); act_k sends k to b + 2 (j mod 4) for each of its
+    pairs (j, f), encoded as the offset (j mod 4) - i in block b's table."""
     for impl in IMPLS:
         basis = impl()
-        actions = {k: impl.encode_action(pairs) for k, pairs in enumerate(acts)}
+        tables = [{}, {}]
+        for k, pairs in enumerate(acts):
+            b, i = k % 2, k // 2
+            tables[b][i] = impl.encode_action([(j % 4 - i, f)
+                                               for j, f in pairs])
         for v in vecs:
             r = basis.insert(v)
             if r is None:
                 continue
             want = {}
-            for k, c in r.items():
+            for k, c in _exact(r).items():
                 for j, f in acts[k]:
-                    want[j] = want.get(j, Q(0)) + c * f
+                    t = k % 2 + 2 * (j % 4)
+                    want[t] = want.get(t, Q(0)) + c * f
             want = {j: c for j, c in want.items() if c}
-            got = basis.image(r, actions.__getitem__)
+            got = basis.image(r, tables, 2, 2, 4)
             assert got.keys() == want.keys()
             if impl is FieldSpanBasis:
                 assert got == want
@@ -136,10 +152,3 @@ def test_images_are_multiples_of_the_exact_image(vecs, acts):
                 assert all(type(n) is int for n in got.values())
                 ratio = {Q(n) / want[j] for j, n in got.items()}
                 assert len(ratio) == 1 and 0 not in ratio
-
-
-def test_key_indexer_is_first_seen_order():
-    ki = KeyIndexer()
-    assert [ki.index(k) for k in ["b", "a", "b", "c"]] == [0, 1, 0, 2]
-    assert ki.key(2) == "c"
-    assert len(ki) == 3

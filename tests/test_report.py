@@ -340,6 +340,26 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert "2/3" in out and "[1/2]" not in out
 
 
+def test_cli_empty_subset_overrides_config(tmp_path, capsys):
+    """An explicit empty --subset is the full flag case, not an unset flag
+    that the config file fills in."""
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 2, "subset": [2]}))
+    assert main(["roots", "--subset", "", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "levi: -" in out and "levi: a2" not in out
+
+
+def test_cli_empty_q_overrides_config(tmp_path, capsys):
+    """An explicit empty --q is symbolic, not an unset flag that the
+    config file fills in."""
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 1, "q": "1/2"}))
+    assert main(["rep", "--q", "", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "(q = symbolic)" in out and "(q = 1/2)" not in out
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "case.json"
     cfg.write_text(json.dumps({"type": "A", "rank": 1, "frobs": 3}))

@@ -9,9 +9,9 @@ directly: close every stacked vector leg under all E_i *and* F_i, which
 spans U.v, and pair the aggregated functional with every row.  It exists
 only here, as a reference; both must give the same verdict on zero and
 non-zero inputs, 1-leg and 2-leg, alone and in batches.  It builds its
-images from the field's own scalars and inserts them as they are,
-independently of the kernels' encoded actions and images that the zero
-tests use.
+images from the field's own scalars, keyed by the (block, key) tuples
+themselves, and inserts them as they are, independently of the radix keys,
+offset tables and kernel images that the zero tests use.
 """
 
 import functools
@@ -24,25 +24,23 @@ import pytest
 from qflag import flagproj as fp
 from qflag import hochschild as hh
 from qflag.coord import _canon_vec, _group_sort_key
-from qflag.lin import KeyIndexer, span_basis
+from qflag.lin import span_basis
 from qflag.qscalar import FixedField, SymbolicField
 
 
 @functools.lru_cache(maxsize=4)
 def two_sided_closure(alg, sig):
     """Closure of the stacked vector legs sig ((word, vec items) blocks)
-    under every E_i and F_i, seeded by the weight components.  Memoized,
-    since consecutive batch members share their legs; callers only look
-    keys up, so the cached indexer and rows never change."""
+    under every E_i and F_i, seeded by the weight components; rows are
+    keyed by (block, key).  Memoized, since consecutive batch members share
+    their legs; callers only read the cached rows."""
     field = alg.field
-    indexer = KeyIndexer()
     words = [w for w, _ in sig]
     by_wt = {}
     for gi, (word, vec_items) in enumerate(sig):
         for key, c in vec_items:
             blk = by_wt.setdefault(alg.key_weight(word, key), {})
-            pk = indexer.index((gi, key))
-            blk[pk] = blk.get(pk, field.zero) + c
+            blk[gi, key] = blk.get((gi, key), field.zero) + c
     basis = span_basis(field)
     queue = []
     for wt in sorted(by_wt):
@@ -57,15 +55,13 @@ def two_sided_closure(alg, sig):
         qi += 1
         for gen in gens:
             img = {}
-            for pk, c in v.items():
-                gi, key = indexer.key(pk)
+            for (gi, key), c in v.items():
                 for nk, f in alg._gen_on_key(words[gi], gen, key):
-                    np = indexer.index((gi, nk))
-                    img[np] = img.get(np, field.zero) + c * f
+                    img[gi, nk] = img.get((gi, nk), field.zero) + c * f
             r = basis.insert({k: c for k, c in img.items() if c})
             if r is not None:
                 queue.append(r)
-    return indexer, basis.rows()
+    return basis.rows()
 
 
 def two_sided_is_zero(alg, tensor_terms):
@@ -93,19 +89,15 @@ def two_sided_is_zero(alg, tensor_terms):
     sides = [two_sided_closure(alg, tuple((k[0][s], k[1][s]) for k in order))
              for s in range(nsides)]
     if nsides == 1:
-        (ix, rows), = sides
-        # a key the closure never indexed is zero on every row
-        fun = {ix.get((gi, fkeys[0])): c for gi, k in enumerate(order)
+        rows, = sides
+        fun = {(gi, fkeys[0]): c for gi, k in enumerate(order)
                for fkeys, c in groups[k].items()}
-        fun.pop(None, None)
         return not any(_dot(field, fun, row) for row in rows)
-    (ix0, rows0), (ix1, rows1) = sides
+    rows0, rows1 = sides
     D = {}
     for gi, k in enumerate(order):
         for (k0, k1), c in groups[k].items():
-            p0, p1 = ix0.get((gi, k0)), ix1.get((gi, k1))
-            if p0 is not None and p1 is not None:
-                D.setdefault(p0, {})[p1] = c
+            D.setdefault((gi, k0), {})[gi, k1] = c
     for r0 in rows0:
         u = {}
         for p0, c0 in r0.items():
