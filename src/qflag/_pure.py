@@ -112,7 +112,7 @@ class FractionSpanBasis:
     """Same interface, Fraction-only, integer-row internals."""
 
     def __init__(self):
-        self._rows = {}  # pivot key -> (den, {key: int num}), num[pivot] == den
+        self._rows = {}  # pivot key -> {key: int num}, num[pivot] = den > 0
 
     @property
     def dim(self):
@@ -137,7 +137,8 @@ class FractionSpanBasis:
             k = max((j for j in nv if j in rows), default=None)
             if k is None:
                 break
-            dr, nr = rows[k]
+            nr = rows[k]
+            dr = nr[k]
             c = nv.pop(k)
             if dr != 1:
                 for j in nv:
@@ -182,14 +183,13 @@ class FractionSpanBasis:
         if den < 0:
             g = -g
         if g != 1:
-            den //= g
             nv = {j: n // g for j, n in nv.items()}
-        self._rows[k] = (den, nv)
+        self._rows[k] = nv
         return nv
 
     def rows(self):
-        return [{j: Fraction(n, den) for j, n in nv.items()}
-                for den, nv in self._rows.values()]
+        return [{j: Fraction(n, nv[k]) for j, n in nv.items()}
+                for k, nv in self._rows.items()]
 
     @staticmethod
     def encode_action(pairs):

@@ -56,16 +56,16 @@ is triangular (U = U-U0U+; Jantzen, Lectures on Quantum Groups, ch. 4):
   reduction above.
 
 Both sides use one closure routine and one generator-action routine (the
-functional side reads the transposed tables).  The vector closures are
-cached per stacked leg; an inner leg's functional closure is built in full
-before it is contracted, and the closure of leg 0 pairs each new row at
-once and stops at the first non-zero value.  The certificate is the
-dimension of U+v_s for each stacked leg, then of each leg's functional
-closure from the last leg to leg 0: (dim U+v, dim (U-)^T f) for one leg
-and (dim U+v0, dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G) for two, G the
-contractions of leg 1.  A closure whose dimension exceeds the cap raises
-CapExceeded, checked after every kept insert, seeds included, and on every
-hit of the vector-closure cache.
+functional side reads the transposed tables).  Each zero-test call builds
+the vector closure of every stacked leg it needs and drops it on return;
+an inner leg's functional closure is built in full before it is
+contracted, and the closure of leg 0 pairs each new row at once and stops
+at the first non-zero value.  The certificate is the dimension of U+v_s
+for each stacked leg, then of each leg's functional closure from the last
+leg to leg 0: (dim U+v, dim (U-)^T f) for one leg and (dim U+v0,
+dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G) for two, G the contractions
+of leg 1.  A closure whose dimension exceeds the cap raises CapExceeded,
+checked after every kept insert, seeds included.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
@@ -100,8 +100,7 @@ Closures run on integers wherever the scalars allow:
   span kernel, (den, ((dk, num), ...)): image index i + dk, coefficient
   num / den.  Entries are filled on first lookup, never for the whole
   space (a length-4 word of a 26-dimensional module has 456,976 keys);
-  weights get a per-word table the same way.  _gen_on_key, which the
-  element actions use, is memoized on the same tuple.
+  weights get a per-word table the same way.
 * Radix keys.  A closure over a stack of B blocks keys its rows by
   r = block + B (i_0 + R_0 (i_1 + ...)), i_s the index of the leg-s key
   and R_s the largest leg-s word dimension over the blocks.  With
@@ -218,17 +217,16 @@ def _transpose(cols, dim):
 
 
 class CoordAlgebra:
-    """Registry of module slots plus the caches that make repeated identity
-    checks cheap (closures are shared across checks with the same legs)."""
+    """Registry of module slots, with per-slot action data and per-word
+    tables (shapes, weights, offset tables, Haar data) shared by every
+    check on the algebra."""
 
     def __init__(self, rs, field):
         self.rs = rs
         self.field = field
         self.modules: list[HWModule] = []
         self._slots = {}
-        self._closure_cache = {}
         self._haar_cache = {}
-        self._gen_cache = {}
         self._shapes = {}
         self._action_tables = {}
         self._weight_tables = {}
@@ -268,23 +266,14 @@ class CoordAlgebra:
 
     # -- generator action on keys ----------------------------------------------
 
-    def _gen_on_key(self, word, gen, key, dual=False):
+    def _gen_action(self, word, gen, key, dual):
         """pi(gen) applied to the basis vector `key` of the tensor word, or
         with dual=True the transposed action fun -> fun o pi(gen) on a
-        functional key; returns ((new_key, coeff), ...).  gen: ("E", i) |
-        ("F", i) | ("K", i, e), the last acting as K_i^e.  Memoized on the
-        full argument tuple (see the module docstring)."""
-        ck = (word, gen, key, dual)
-        out = self._gen_cache.get(ck)
-        if out is None:
-            out = self._gen_cache[ck] = tuple(
-                self._gen_action(word, gen, key, dual))
-        return out
-
-    def _gen_action(self, word, gen, key, dual):
-        """The uncached _gen_on_key.  The coproduct puts K on the slots
-        after an E and K^(-1) on the slots before an F; K is diagonal, so
-        the transpose only swaps the column tables for the row tables."""
+        functional key; returns [(new_key, coeff), ...].  gen: ("E", i) |
+        ("F", i) | ("K", i, e), the last acting as K_i^e.  The coproduct
+        puts K on the slots after an E and K^(-1) on the slots before an F;
+        K is diagonal, so the transpose only swaps the column tables for the
+        row tables."""
         field = self.field
         kind = gen[0]
         slots = [self.slot(*s) for s in word]
@@ -315,7 +304,7 @@ class CoordAlgebra:
         zero = self.field.zero
         out = {}
         for key, c in vec.items():
-            for nk, f in self._gen_on_key(word, gen, key, dual):
+            for nk, f in self._gen_action(word, gen, key, dual):
                 nv = out.get(nk, zero) + c * f
                 if nv:
                     out[nk] = nv
@@ -614,14 +603,7 @@ class CoordAlgebra:
     def _raising_closure(self, sig, cap):
         """U+ closure of the stacked vector leg described by sig, a tuple of
         (word, canonical vec items) blocks: ({(weight,): rows}, dim), rows
-        keyed block + len(sig) * i by the radix keys of the one-leg blocks.
-        Cached; a cached closure larger than the cap raises CapExceeded, as
-        building it afresh would."""
-        cached = self._closure_cache.get(sig)
-        if cached is not None:
-            if cached[1] > cap:
-                raise _cap_exceeded(cap)
-            return cached
+        keyed block + len(sig) * i by the radix keys of the one-leg blocks."""
         codec = _Radix(self, [(w,) for w, _ in sig])
         seeds = self._weight_split(codec, (
             (gi, (key,), c)
@@ -630,9 +612,7 @@ class CoordAlgebra:
         by_wt = {}
         for row in self._closure_rows(codec, seeds, raising, False, cap):
             by_wt.setdefault(codec.weight(next(iter(row))), []).append(row)
-        out = (by_wt, sum(len(rows) for rows in by_wt.values()))
-        self._closure_cache[sig] = out
-        return out
+        return by_wt, sum(len(rows) for rows in by_wt.values())
 
     def _weight_split(self, codec, items):
         """Encode (block, (k_0, ..., k_n-1), coeff) items as radix keys and
@@ -680,7 +660,9 @@ class CoordAlgebra:
             r = basis.insert(v)
             if r is not None:
                 if basis.dim > cap:
-                    raise _cap_exceeded(cap)
+                    raise CapExceeded(
+                        f"closure dimension exceeded the cap {cap}; "
+                        "raise --cap or use an evaluated (fixed-q) run")
                 queue.append(r)
                 yield r
 
@@ -732,11 +714,6 @@ class _LazyTable(dict):
     def __missing__(self, key):
         value = self[key] = self._fill(key)
         return value
-
-
-def _cap_exceeded(cap):
-    return CapExceeded(f"closure dimension exceeded the cap {cap}; "
-                       "raise --cap or use an evaluated (fixed-q) run")
 
 
 # ---------------------------------------------------------------------------

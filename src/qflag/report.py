@@ -36,7 +36,8 @@ from qflag.flagproj import (flag_context, levi_generators,
 from qflag.hochschild import (verify_cocycle_sample, verify_cycle,
                               verify_pairing)
 from qflag.qscalar import FixedField, SymbolicField
-from qflag.repn import hw_module
+# unused here; perfbench/tracer.py wraps hw_module in this namespace too
+from qflag.repn import hw_module  # noqa: F401
 
 PHASES = ("cartan", "repn", "projection", "invariance", "matrixunits",
           "cycle", "pairing", "cocycle", "kahler")
@@ -51,7 +52,7 @@ class CaseConfig:
     q_values: tuple | None = None
     cap: int = DEFAULT_CAP
     seed: int = 1
-    only: tuple | None = None            # subset of PHASES, None = all
+    only: tuple | None = None  # PHASES subset, in PHASES order; None = all
 
     def __post_init__(self):
         if self.q_values is not None:
@@ -73,7 +74,12 @@ class CaseConfig:
             for p in self.only:
                 if p not in PHASES:
                     raise ValueError(f"unknown phase {p!r}")
-            object.__setattr__(self, "only", tuple(self.only))
+            if not self.only:
+                raise ValueError("only must name at least one phase")
+            if len(set(self.only)) != len(self.only):
+                raise ValueError(f"phases repeat: {', '.join(self.only)}")
+            object.__setattr__(self, "only", tuple(
+                p for p in PHASES if p in self.only))
         if self.cap <= 0:
             raise ValueError("cap must be positive")
 
@@ -224,8 +230,7 @@ def run_suite(cfg: CaseConfig) -> Report:
 
         if "repn" in phases:
             def chk():
-                m = hw_module(rs, par.rho_S, field)
-                lhs = f"dim {m.dim}, highest weight {list(par.rho_S)}"
+                lhs = f"dim {ctx.m.dim}, highest weight {list(par.rho_S)}"
                 return "pass", lhs, "", (), ""
             _run(records, "repn.build", qtag, chk)
 

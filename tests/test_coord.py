@@ -563,18 +563,18 @@ def test_register_guards():
         alg.register(hw_module(rs, (1,), FixedField(Q(1, 2))))
 
 
-# -- generator-action memo ------------------------------------------------------
+# -- offset-table cache --------------------------------------------------------
 
 
 @pytest.mark.parametrize("subset,field", [
     ((), FixedField(Q(1, 2))),
     ((2,), SymbolicField()),
 ], ids=["A2-S0-q12", "A2-S2-symbolic"])
-def test_gen_on_key_memo_matches_fresh_algebra(subset, field):
-    """Every (word, gen, key, dual) call on an algebra whose memo already
-    holds every other combination returns what a fresh algebra computes, so
-    the memo key keeps the word (with its barred flags), the generator, the
-    key and dual apart."""
+def test_action_table_cache_matches_fresh_algebra(subset, field):
+    """Every _action_table(word, gen, dual) entry, on an algebra whose
+    tables already hold every other entry, is what a fresh algebra
+    computes, so the table cache keeps the word (with its barred flags),
+    the generator, the key index and dual apart."""
     from qflag.flagproj import flag_context
 
     alg = flag_context("A", 2, subset, field).alg
@@ -583,15 +583,16 @@ def test_gen_on_key_memo_matches_fresh_algebra(subset, field):
     words = [(s,) for s in slots] + list(itertools.product(slots, repeat=2))
     gens = [(kind, i) for kind in ("E", "F") for i in (1, 2)] + \
         [("K", i, e) for i in (1, 2) for e in (1, -1)]
-    calls = [(w, g, k, dual) for w in words
-             for k in itertools.product(range(m.dim), repeat=len(w))
+    calls = [(w, g, i, dual) for w in words
+             for i in range(m.dim ** len(w))
              for g in gens for dual in (False, True)]
-    for call in calls:
-        alg._gen_on_key(*call)
-    for call in calls:
+    for w, g, i, dual in calls:
+        alg._action_table(w, g, dual)[i]
+    for w, g, i, dual in calls:
         fresh = CoordAlgebra(alg.rs, field)
         fresh.register(m)
-        assert alg._gen_on_key(*call) == fresh._gen_on_key(*call), call
+        assert alg._action_table(w, g, dual)[i] == \
+            fresh._action_table(w, g, dual)[i], (w, g, i, dual)
 
 
 # -- radix keys and offset tables ---------------------------------------------
@@ -625,9 +626,9 @@ def test_radix_keys_round_trip_and_are_injective(a2):
     ("A", 2, (), FixedField(Q(1, 2))),
     ("A", 1, (), SymbolicField()),
 ], ids=["A2-S0-q12", "A1-symbolic"])
-def test_offset_tables_match_gen_on_key(family, rank, subset, field):
+def test_offset_tables_match_gen_action(family, rank, subset, field):
     """Every entry (den, ((dk, num), ...)) of an action table, decoded as
-    the keys of index i + dk with coefficients num / den, is _gen_on_key
+    the keys of index i + dk with coefficients num / den, is _gen_action
     on the key of index i, for E and F, on vectors and on functionals."""
     from qflag.flagproj import flag_context
 
@@ -646,4 +647,5 @@ def test_offset_tables_match_gen_on_key(family, rank, subset, field):
                                  alg._kernel.ratio(num, den))
                                 for dk, num in pairs)
                     key = alg._index_key(word, i)
-                    assert got == alg._gen_on_key(word, gen, key, dual)
+                    assert got == tuple(
+                        alg._gen_action(word, gen, key, dual))

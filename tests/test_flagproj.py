@@ -199,8 +199,10 @@ def test_cap_propagates(a1):
 
 
 def test_cap_holds_on_a_cached_closure():
-    """A raising closure cached under the default cap is still overrun by a
-    smaller cap, exactly as on a fresh context."""
+    """A context that already passed a check under the default cap still
+    enforces a smaller cap on the same check, exactly as a fresh context
+    does: nothing the first check leaves on the context bypasses the
+    cap."""
     ctx = fp.flag_context("A", 1, (), SymbolicField())
     assert fp.verify_idempotent(ctx, pairs=[(0, 0)])[(0, 0)].zero
     with pytest.raises(CapExceeded):

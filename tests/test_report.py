@@ -34,6 +34,29 @@ def test_unknown_phase_rejected():
         CaseConfig("A", 1, only=("pairing", "nonsense"))
 
 
+def test_empty_phase_list_rejected():
+    """only=() would run no check and still report verdict pass."""
+    with pytest.raises(ValueError, match="at least one phase"):
+        CaseConfig("A", 1, only=())
+
+
+def test_repeated_phase_rejected():
+    with pytest.raises(ValueError, match="phases repeat: cartan, pairing, "
+                                         "pairing"):
+        CaseConfig("A", 1, only=("cartan", "pairing", "pairing"))
+
+
+def test_phases_stored_in_run_order():
+    """Two spellings of one phase set echo the same phases, in the order
+    run_suite runs them."""
+    a = CaseConfig("A", 1, only=("pairing", "cartan"))
+    b = CaseConfig("A", 1, only=("cartan", "pairing"))
+    assert a.only == b.only == ("cartan", "pairing")
+    assert a.echo() == b.echo()
+    assert json.dumps(comparison_body(run_suite(a).as_dict())) == \
+        json.dumps(comparison_body(run_suite(b).as_dict()))
+
+
 def test_subset_is_sorted_and_cap_positive():
     assert CaseConfig("B", 2, (2, 1)).subset == (1, 2)
     with pytest.raises(ValueError, match="cap"):

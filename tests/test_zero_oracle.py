@@ -56,7 +56,7 @@ def two_sided_closure(alg, sig):
         for gen in gens:
             img = {}
             for (gi, key), c in v.items():
-                for nk, f in alg._gen_on_key(words[gi], gen, key):
+                for nk, f in alg._gen_action(words[gi], gen, key, False):
                     img[gi, nk] = img.get((gi, nk), field.zero) + c * f
             r = basis.insert({k: c for k, c in img.items() if c})
             if r is not None:
