@@ -1,6 +1,7 @@
 """Pure-Python span/elimination kernels.
 
-Two implementations of the same incremental-echelon interface:
+Two implementations of the same incremental-echelon interface, sharing
+their row store and closure images through the base class SpanBasis:
 
 * FieldSpanBasis -- generic over any exact field element supporting
   +, -, *, /, bool (symbolic Laurent fractions use this one);
@@ -18,17 +19,18 @@ pivot, FractionSpanBasis coprime integers with the common denominator at
 the pivot.  ratio(num, den) turns such scalars back into an exact field
 element.
 
-Each kernel also builds closure images in its own scalars.  Image keys are
-non-negative ints, and a generator acts on a key r through the entry
-tables[r % nb][r // stride % radix] = (den, ((dk, num), ...)): it sends r to
-the keys r + dk * stride with coefficients num / den (qflag.coord packs a
-block and its leg indices into r this way).  encode_action builds an entry
-from [(dk, coeff)] -- FieldSpanBasis keeps field elements with den 1,
-FractionSpanBasis integers -- and image(row, tables, nb, stride, radix)
-forms a non-zero multiple of that action on the row returned by insert.
-FractionSpanBasis combines the integer row with the integer entries under
-a running lcm of their denominators, so a closure at fixed q does no
-Fraction arithmetic beyond filling its table entries.
+Closure images.  Image keys are non-negative ints, and a generator acts on
+a key r through the entry tables[r % nb][r // stride % radix] =
+(den, ((dk, num), ...)): it sends r to the keys r + dk * stride with
+coefficients num / den (qflag.coord packs a block and its leg indices into
+r this way).  encode_action builds an entry from [(dk, coeff)] in the
+kernel's scalars -- FieldSpanBasis keeps field elements with den 1,
+FractionSpanBasis integers -- and the one image(row, tables, nb, stride,
+radix) forms a non-zero multiple of that action on a row returned by
+insert, under a running lcm of the entry denominators.  Field entries all
+have den 1, so a field image is exact and uses field arithmetic alone; an
+integer image stays integer, so a closure at fixed q does no Fraction
+arithmetic beyond filling its table entries.
 """
 
 from __future__ import annotations
@@ -37,15 +39,58 @@ from fractions import Fraction
 from math import gcd
 
 
-class FieldSpanBasis:
-    """Incremental echelon span of sparse vectors {key: field element}."""
+class SpanBasis:
+    """The row store and closure images shared by both kernels; each
+    subclass supplies reduce, insert, encode_action and ratio for its
+    scalars."""
 
     def __init__(self):
-        self._rows = {}  # pivot key -> row dict, row[pivot] == 1
+        self._rows = {}  # pivot key -> row returned by insert
 
     @property
     def dim(self):
         return len(self._rows)
+
+    def rows(self):
+        """The stored rows as exact rows row / row[pivot]."""
+        ratio = self.ratio
+        return [{j: ratio(c, row[k]) for j, c in row.items()}
+                for k, row in self._rows.items()]
+
+    @staticmethod
+    def image(row, tables, nb, stride, radix):
+        """A non-zero multiple of the action on a row returned by insert,
+        with zeros dropped: key r goes through the entry
+        tables[r % nb][r // stride % radix] (see the module docstring).
+        The partial sum is rescaled whenever an entry brings a denominator
+        that does not divide the running lcm, and a row entry is scaled
+        only when its entry's denominator differs from that lcm; with
+        every den 1 (field entries) the image is the exact one."""
+        out = {}
+        den = 1
+        for r, c in row.items():
+            d, pairs = tables[r % nb][r // stride % radix]
+            if d != den:
+                if den % d:
+                    m = d // gcd(den, d)
+                    den *= m
+                    for j in out:
+                        out[j] *= m
+                c *= den // d
+            for dk, n in pairs:
+                j = r + dk * stride
+                cur = out.get(j)
+                x = c * n if cur is None else cur + c * n
+                if x:
+                    out[j] = x
+                else:
+                    out.pop(j, None)
+        return out
+
+
+class FieldSpanBasis(SpanBasis):
+    """Incremental echelon span of sparse vectors {key: field element};
+    a stored row has 1 at its pivot."""
 
     def reduce(self, vec):
         v = {k: c for k, c in vec.items() if c}
@@ -78,9 +123,6 @@ class FieldSpanBasis:
         self._rows[k] = row
         return row
 
-    def rows(self):
-        return [dict(r) for r in self._rows.values()]
-
     @staticmethod
     def encode_action(pairs):
         """(1, ((dk, coeff), ...)): field elements need no denominator."""
@@ -90,33 +132,10 @@ class FieldSpanBasis:
     def ratio(num, den):
         return num / den
 
-    @staticmethod
-    def image(row, tables, nb, stride, radix):
-        """The action on row with zeros dropped: key r goes through the
-        entry tables[r % nb][r // stride % radix] (see the module
-        docstring); row[pivot] == 1, so this is the exact image."""
-        out = {}
-        for r, c in row.items():
-            for dk, f in tables[r % nb][r // stride % radix][1]:
-                j = r + dk * stride
-                cur = out.get(j)
-                nv = c * f if cur is None else cur + c * f
-                if nv:
-                    out[j] = nv
-                else:
-                    out.pop(j, None)
-        return out
 
-
-class FractionSpanBasis:
-    """Same interface, Fraction-only, integer-row internals."""
-
-    def __init__(self):
-        self._rows = {}  # pivot key -> {key: int num}, num[pivot] = den > 0
-
-    @property
-    def dim(self):
-        return len(self._rows)
+class FractionSpanBasis(SpanBasis):
+    """Same interface, Fraction-only, integer-row internals: a stored row
+    is {key: int num} with num[pivot] = den > 0."""
 
     @staticmethod
     def _to_int(vec):
@@ -187,10 +206,6 @@ class FractionSpanBasis:
         self._rows[k] = nv
         return nv
 
-    def rows(self):
-        return [{j: Fraction(n, nv[k]) for j, n in nv.items()}
-                for k, nv in self._rows.items()]
-
     @staticmethod
     def encode_action(pairs):
         """(den, ((dk, num), ...)) with coeff == num / den for each pair."""
@@ -204,29 +219,3 @@ class FractionSpanBasis:
     @staticmethod
     def ratio(num, den):
         return Fraction(num, den)
-
-    @staticmethod
-    def image(row, tables, nb, stride, radix):
-        """An integer multiple of the action on an integer row returned by
-        insert, with zeros dropped: key r goes through the entry
-        tables[r % nb][r // stride % radix] (see the module docstring).
-        The partial sum is rescaled whenever an entry brings a denominator
-        that does not divide the running lcm."""
-        out = {}
-        den = 1
-        for r, c in row.items():
-            d, pairs = tables[r % nb][r // stride % radix]
-            if den % d:
-                m = d // gcd(den, d)
-                den *= m
-                for j in out:
-                    out[j] *= m
-            c *= den // d
-            for dk, n in pairs:
-                j = r + dk * stride
-                x = out.get(j, 0) + c * n
-                if x:
-                    out[j] = x
-                else:
-                    out.pop(j, None)
-        return out

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qflag import cartan
+from qflag.coord import DEFAULT_CAP
 from qflag.flagproj import FlagContext, flag_context
 from qflag.hochschild import idempotent_cycle
 from qflag.qscalar import classical_field
@@ -266,5 +267,6 @@ def verify_classical_limit(family, rank, lam):
     return True
 
 
-def classical_context(family, rank, subset) -> FlagContext:
-    return flag_context(family, rank, subset, classical_field())
+def classical_context(family, rank, subset,
+                      cap=DEFAULT_CAP) -> FlagContext:
+    return flag_context(family, rank, subset, classical_field(), cap)

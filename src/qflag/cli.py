@@ -20,7 +20,6 @@ configuration or I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +27,7 @@ from fractions import Fraction
 from qflag import cartan
 from qflag.coord import DEFAULT_CAP
 from qflag.report import CaseConfig, emit_report, root_label, run_suite
-from qflag.repn import hw_module
+from qflag.repn import CapExceeded, hw_module
 
 
 def _parse_subset(text):
@@ -103,6 +102,7 @@ def _case(args) -> CaseConfig:
         q_values=_parse_q(args.q),
         cap=args.cap if args.cap is not None else DEFAULT_CAP,
         seed=args.seed if args.seed is not None else 1,
+        only=args.phases,
     )
 
 
@@ -124,7 +124,7 @@ def _cmd_rep(args):
     rs = cartan.root_system(cfg.family, cfg.rank)
     par = cartan.parabolic(rs, cfg.subset)
     for qtag, field in cfg.fields():
-        m = hw_module(rs, par.rho_S, field)
+        m = hw_module(rs, par.rho_S, field, cap=cfg.cap)
         print(f"module of highest weight {list(par.rho_S)} over {rs.name} "
               f"(q = {qtag}): dim {m.dim}")
         for k in range(m.dim):
@@ -133,30 +133,15 @@ def _cmd_rep(args):
     return 0
 
 
-def _cmd_verify(args):
-    rep = run_suite(_case(args))
-    return emit_report(rep, args.out)
-
-
-def _cmd_report(args):
-    out = args.out or "qflag_report.json"
-    rep = run_suite(_case(args))
-    code = emit_report(rep, out)
-    if code != 2:
+def _cmd_suite(args):
+    """verify, pairing, kahler and report: run the subcommand's phases and
+    emit the report, to --out or else to the subcommand's default path
+    (only report has one, and it says where it wrote)."""
+    out = args.out or args.default_out
+    code = emit_report(run_suite(_case(args)), out)
+    if args.default_out and code != 2:
         print(f"report written to {out}")
     return code
-
-
-def _cmd_pairing(args):
-    cfg = dataclasses.replace(_case(args), only=("pairing",))
-    rep = run_suite(cfg)
-    return emit_report(rep, args.out)
-
-
-def _cmd_kahler(args):
-    cfg = dataclasses.replace(_case(args), only=("kahler",))
-    rep = run_suite(cfg)
-    return emit_report(rep, args.out)
 
 
 def main(argv=None):
@@ -166,7 +151,7 @@ def main(argv=None):
                     "twisted homology pairings, and classical limits")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, phases=None, default_out=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--type", help="family letter, e.g. A or B")
         p.add_argument("--rank", type=int, help="rank (1..4)")
@@ -177,21 +162,23 @@ def main(argv=None):
         p.add_argument("--seed", type=int, help="seed for sampled checks")
         p.add_argument("--out", help="path for the structured report")
         p.add_argument("--config", help="JSON file mirroring the flags")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, phases=phases, default_out=default_out)
         return p
 
     add("roots", _cmd_roots, "root-system and parabolic data")
     add("rep", _cmd_rep, "defining module: weights and norms")
-    add("verify", _cmd_verify, "run the verification suite")
-    add("pairing", _cmd_pairing, "pairing values per simple root")
-    add("kahler", _cmd_kahler, "classical-limit block")
-    add("report", _cmd_report, "run the suite and write the report file")
+    add("verify", _cmd_suite, "run the verification suite")
+    add("pairing", _cmd_suite, "pairing values per simple root",
+        phases=("pairing",))
+    add("kahler", _cmd_suite, "classical-limit block", phases=("kahler",))
+    add("report", _cmd_suite, "run the suite and write the report file",
+        default_out="qflag_report.json")
 
     args = top.parse_args(argv)
     try:
         _merge_config(args)
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

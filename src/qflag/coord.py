@@ -143,11 +143,6 @@ from qflag.repn import CapExceeded, HWModule
 
 DEFAULT_CAP = 6000
 
-# _SlotData table of a generator: columns act on vectors, rows (the
-# transpose) on functionals
-_TABLES = {("E", False): "e_cols", ("E", True): "e_rows",
-           ("F", False): "f_cols", ("F", True): "f_rows"}
-
 
 @dataclass
 class ZeroCertificate:
@@ -175,7 +170,10 @@ class ZeroCertificate:
 
 
 class _SlotData:
-    """Action data for one (module, conjugated) slot."""
+    """Action data for one (module, conjugated) slot.  tables[gen, dual][i]
+    lists, per basis index, the action of gen_i (gen "E" or "F"): its
+    columns act on vectors (dual False), its rows, the transpose, on
+    functionals (dual True)."""
 
     def __init__(self, m: HWModule, barred: bool, rs):
         rank = rs.rank
@@ -188,8 +186,7 @@ class _SlotData:
         two_rho = cartan.two_rho_root(rs)
         self.r2exp = [cartan.form_rw(rs, two_rho, w) for w in self.weights]
         self.kexp = {}
-        self.e_cols = {}
-        self.f_cols = {}
+        self.tables = {(g, d): {} for g in "EF" for d in (False, True)}
         for i in range(1, rank + 1):
             self.kexp[i] = [sgn * m.k_exp(i, k) for k in range(m.dim)]
             if barred:
@@ -200,12 +197,9 @@ class _SlotData:
             else:
                 ec = [m.e_col(i, k) for k in range(m.dim)]
                 fc = [m.f_col(i, k) for k in range(m.dim)]
-            self.e_cols[i] = ec
-            self.f_cols[i] = fc
-        self.e_rows = {i: _transpose(self.e_cols[i], m.dim)
-                       for i in range(1, rank + 1)}
-        self.f_rows = {i: _transpose(self.f_cols[i], m.dim)
-                       for i in range(1, rank + 1)}
+            for g, cols in (("E", ec), ("F", fc)):
+                self.tables[g, False][i] = cols
+                self.tables[g, True][i] = _transpose(cols, m.dim)
 
 
 def _transpose(cols, dim):
@@ -279,10 +273,9 @@ class CoordAlgebra:
         slots = [self.slot(*s) for s in word]
         if kind == "E" or kind == "F":
             i = gen[1]
-            table = _TABLES[kind, dual]
             out = []
             for j, sd in enumerate(slots):
-                col = getattr(sd, table)[i][key[j]]
+                col = sd.tables[kind, dual][i][key[j]]
                 if not col:
                     continue
                 if kind == "E":

@@ -1,10 +1,12 @@
 """Exact span/elimination for the package's two scalar kinds.
 
-Fixed-q scalars (Fractions) get the integer-row kernel, symbolic scalars
-the generic field kernel; both live in qflag._pure.
+A field whose elements are Fractions (fixed q) gets the integer-row
+kernel, any other the generic field kernel; both live in qflag._pure.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from qflag._pure import FieldSpanBasis, FractionSpanBasis
 
@@ -16,7 +18,7 @@ def kernel_name() -> str:
 
 def kernel(field):
     """The SpanBasis class suited to the field's element type."""
-    if getattr(field, "fraction_elements", False):
+    if type(field.zero) is Fraction:
         return FractionSpanBasis
     return FieldSpanBasis
 
@@ -24,4 +26,3 @@ def kernel(field):
 def span_basis(field):
     """A fresh SpanBasis suited to the field's element type."""
     return kernel(field)()
-

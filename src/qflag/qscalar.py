@@ -382,7 +382,6 @@ class SymbolicField:
 
     name = "symbolic"
     is_classical = False
-    fraction_elements = False
 
     zero = _ZERO
     one = _ONE
@@ -414,7 +413,6 @@ class FixedField:
 
     zero = Q(0)
     one = Q(1)
-    fraction_elements = True
 
     def __init__(self, q0):
         q0 = Q(q0)

@@ -42,7 +42,7 @@ class HWModule:
         if cap is not None and expected > cap:
             raise CapExceeded(
                 f"dim V({lam}) = {expected} exceeds the cap {cap}; "
-                "raise --cap or switch to an evaluated (fixed-q) run")
+                "raise --cap")
         self._build(expected)
 
     # -- construction --------------------------------------------------------

@@ -55,7 +55,14 @@ class CaseConfig:
     only: tuple | None = None  # PHASES subset, in PHASES order; None = all
 
     def __post_init__(self):
+        for key in ("rank", "cap", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.q_values is not None:
+            for q in self.q_values:
+                if isinstance(q, float):
+                    raise ValueError(f"q must be exact, got the float {q!r}")
             qs = tuple(Fraction(q) for q in self.q_values)
             if not qs:
                 raise ValueError("evaluated mode needs at least one q value")
@@ -221,7 +228,8 @@ def run_suite(cfg: CaseConfig) -> Report:
                                    ("projection", "invariance", "matrixunits",
                                     "cycle", "pairing", "cocycle")):
             try:
-                ctx = flag_context(cfg.family, cfg.rank, cfg.subset, field)
+                ctx = flag_context(cfg.family, cfg.rank, cfg.subset, field,
+                                   cfg.cap)
             except Exception as exc:                         # noqa: BLE001
                 def _reraise(exc=exc):
                     raise exc
@@ -307,7 +315,8 @@ def run_suite(cfg: CaseConfig) -> Report:
 
         def chk_build():
             kah["kk"] = ClassicalKahler(
-                classical_context(cfg.family, cfg.rank, cfg.subset))
+                classical_context(cfg.family, cfg.rank, cfg.subset,
+                                  cfg.cap))
             roots = kah["kk"].nil_roots
             return "pass", f"{len(roots)} non-levi roots", "", (), ""
         _run(records, "kahler.build", "classical", chk_build)

@@ -68,6 +68,22 @@ def test_repeated_subset_index_rejected():
         CaseConfig("A", 2, (2, 2))
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"q_values": (0.1,)}, "q must be exact, got the float 0.1"),
+    ({"rank": "2"}, "rank must be an integer, got '2'"),
+    ({"rank": True}, "rank must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"cap": 2.5}, "cap must be an integer, got 2.5"),
+    ({"cap": False}, "cap must be an integer, got False"),
+])
+def test_inexact_or_mistyped_values_rejected(kwargs, message):
+    """A float q would run at its binary expansion, and a rank, cap or seed
+    that is not an int (a bool included) would fail later or leak into
+    record names."""
+    with pytest.raises(ValueError, match=message):
+        CaseConfig(**{"family": "A", "rank": 2, **kwargs})
+
+
 def test_fields_one_per_q_value():
     assert [tag for tag, _ in CaseConfig("A", 1).fields()] == ["symbolic"]
     fields = CaseConfig("A", 1, q_values=("1/2", "2/3")).fields()
@@ -176,6 +192,19 @@ def test_cap_overrun_downgrades_to_skipped():
     assert "cap" in by_name["projection.idempotent"].note
     assert by_name["cycle.normalized"].status == "skipped"
     # skipped checks do not fail the verdict
+    assert rep.verdict == "pass"
+
+
+def test_cap_bounds_the_module_build():
+    """The cap also bounds the defining module: A2 S={} needs dimension 8,
+    so a cap of 7 skips repn.build here and kahler.build at q = 1."""
+    rep = run_suite(CaseConfig("A", 2, (), q_values=("1/2",), cap=7,
+                               only=("repn", "kahler")))
+    by_name = {r.name: r for r in rep.records}
+    assert [r.name for r in rep.records] == ["repn.build", "kahler.build"]
+    for rec in by_name.values():
+        assert rec.status == "skipped"
+        assert "dim V((1, 1)) = 8 exceeds the cap 7" in rec.note
     assert rep.verdict == "pass"
 
 
@@ -299,6 +328,14 @@ def test_cli_rep(capsys):
     assert main(["rep", "--type", "A", "--rank", "1", "--q", "1/2"]) == 0
     out = capsys.readouterr().out
     assert "dim 2" in out
+
+
+def test_cli_rep_cap_exits_two(capsys):
+    assert main(["rep", "--type", "A", "--rank", "2", "--subset", "",
+                 "--q", "1/2", "--cap", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "error: dim V((1, 1)) = 8 exceeds the cap 7" in captured.err
+    assert "basis" not in captured.out
 
 
 def test_cli_rep_prints_one_module_per_q(capsys):
