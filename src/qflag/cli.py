@@ -158,7 +158,9 @@ def main(argv=None):
         p.add_argument("--subset", help="comma list of marked simple roots; "
                                         "empty for the full flag case")
         p.add_argument("--q", help='rational(s) like 1/2 or "symbolic"')
-        p.add_argument("--cap", type=int, help="closure dimension cap")
+        p.add_argument("--cap", type=int,
+                       help="dimension cap for the defining module and for "
+                            "every zero-test closure")
         p.add_argument("--seed", type=int, help="seed for sampled checks")
         p.add_argument("--out", help="path for the structured report")
         p.add_argument("--config", help="JSON file mirroring the flags")

@@ -65,7 +65,8 @@ for each stacked leg, then of each leg's functional closure from the last
 leg to leg 0: (dim U+v, dim (U-)^T f) for one leg and (dim U+v0,
 dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G) for two, G the contractions
 of leg 1.  A closure whose dimension exceeds the cap raises CapExceeded,
-checked after every kept insert, seeds included.
+checked after every kept insert, seeds included; the cap is the
+algebra's (CoordAlgebra.cap), fixed when the algebra is built.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
@@ -213,11 +214,12 @@ def _transpose(cols, dim):
 class CoordAlgebra:
     """Registry of module slots, with per-slot action data and per-word
     tables (shapes, weights, offset tables, Haar data) shared by every
-    check on the algebra."""
+    check on the algebra.  cap bounds every zero-test closure on it."""
 
-    def __init__(self, rs, field):
+    def __init__(self, rs, field, cap=DEFAULT_CAP):
         self.rs = rs
         self.field = field
+        self.cap = cap
         self.modules: list[HWModule] = []
         self._slots = {}
         self._haar_cache = {}
@@ -438,7 +440,7 @@ class CoordAlgebra:
 
     # -- zero testing ------------------------------------------------------------
 
-    def batch_zero_test(self, batch, cap=DEFAULT_CAP):
+    def batch_zero_test(self, batch):
         """Exact zero tests for a batch of sums of tensors of elements (1 or
         2 legs); each member is an iterable of (coeff, (elem_0, ...,
         elem_n)) as in tensor_zero_test.  Members are drawn one at a time,
@@ -466,13 +468,13 @@ class CoordAlgebra:
         for order, members in families.items():
             nsides = len(order[0][0])
             legs = [self._raising_closure(
-                tuple((k[0][s], k[1][s]) for k in order), cap)
+                tuple((k[0][s], k[1][s]) for k in order))
                 for s in range(nsides)]
             joint = None
             if len(members) > 1:
                 try:
                     joint = self._lowering_test(
-                        order, legs, [f for _, f in members], cap)
+                        order, legs, [f for _, f in members])
                 except CapExceeded:
                     pass
             for at, groups in members:
@@ -480,11 +482,10 @@ class CoordAlgebra:
                     certs[at] = ZeroCertificate(True, joint.closure_dims,
                                                 joint.groups)
                 else:
-                    certs[at] = self._lowering_test(order, legs, [groups],
-                                                    cap)
+                    certs[at] = self._lowering_test(order, legs, [groups])
         return certs
 
-    def tensor_zero_test(self, tensor_terms, cap=DEFAULT_CAP):
+    def tensor_zero_test(self, tensor_terms):
         """Exact zero test for sums of tensors of elements (1 or 2 legs).
 
         tensor_terms: iterable of (coeff, (elem_0, ..., elem_n)).  Returns a
@@ -494,10 +495,10 @@ class CoordAlgebra:
         the first leg-0 closure row that pairs non-trivially, so its last
         dimension is the size of the closure built so far.
         """
-        return self.batch_zero_test([tensor_terms], cap)[0]
+        return self.batch_zero_test([tensor_terms])[0]
 
-    def is_zero(self, elem: CoordElem, cap=DEFAULT_CAP) -> ZeroCertificate:
-        return self.tensor_zero_test([(self.field.one, (elem,))], cap)
+    def is_zero(self, elem: CoordElem) -> ZeroCertificate:
+        return self.tensor_zero_test([(self.field.one, (elem,))])
 
     def _group_terms(self, tensor_terms):
         """Aggregate a tensor sum by (words, vector legs): returns the sorted
@@ -530,7 +531,7 @@ class CoordAlgebra:
                 "zero tests are implemented for 1- and 2-leg tensors")
         return tuple(sorted(groups, key=_group_sort_key)), groups
 
-    def _lowering_test(self, order, legs, funs, cap):
+    def _lowering_test(self, order, legs, funs):
         """Close the weight components of every functional in funs (group
         dicts over the stacked legs `order`, in order) under the transposed
         F_i one leg at a time, from the last leg to leg 0, and contract
@@ -547,7 +548,7 @@ class CoordAlgebra:
             for fkeys, c in fun[k].items()))]
         for s in reversed(range(len(legs))):
             rows = self._closure_rows(codec, seeds, [
-                (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True, cap)
+                (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True)
             if s:
                 rows = list(rows)
             seeds = []
@@ -593,7 +594,7 @@ class CoordAlgebra:
             if g:
                 yield g, w
 
-    def _raising_closure(self, sig, cap):
+    def _raising_closure(self, sig):
         """U+ closure of the stacked vector leg described by sig, a tuple of
         (word, canonical vec items) blocks: ({(weight,): rows}, dim), rows
         keyed block + len(sig) * i by the radix keys of the one-leg blocks."""
@@ -603,7 +604,7 @@ class CoordAlgebra:
             for gi, (_, vec_items) in enumerate(sig) for key, c in vec_items))
         raising = [(0, ("E", i)) for i in range(1, self.rs.rank + 1)]
         by_wt = {}
-        for row in self._closure_rows(codec, seeds, raising, False, cap):
+        for row in self._closure_rows(codec, seeds, raising, False):
             by_wt.setdefault(codec.weight(next(iter(row))), []).append(row)
         return by_wt, sum(len(rows) for rows in by_wt.values())
 
@@ -619,7 +620,7 @@ class CoordAlgebra:
             blk[r] = blk.get(r, zero) + c
         return [by_wt[wt] for wt in sorted(by_wt)]
 
-    def _closure_rows(self, codec, seeds, gens, dual, cap):
+    def _closure_rows(self, codec, seeds, gens, dual):
         """Span closure of the seed vectors under gens, yielding each stored
         row as soon as it is inserted (a caller may stop early).
 
@@ -628,10 +629,11 @@ class CoordAlgebra:
         is set -- by the offset tables of each block's leg-s word.
         Weight-homogeneous seeds give weight-homogeneous rows, because
         every generator moves weight by a fixed root.  Images are formed by
-        the kernel in its own scalars.  The cap is checked after every kept
-        insert, seeds included."""
+        the kernel in its own scalars.  The algebra's cap is checked after
+        every kept insert, seeds included."""
         basis = span_basis(self.field)
         image = basis.image
+        cap = self.cap
         nb = codec.nb
         actions = [([self._action_table(w[s], gen, dual)
                      for w in codec.words], codec.strides[s], codec.radix[s])
@@ -655,7 +657,7 @@ class CoordAlgebra:
                 if basis.dim > cap:
                     raise CapExceeded(
                         f"closure dimension exceeded the cap {cap}; "
-                        "raise --cap or use an evaluated (fixed-q) run")
+                        "raise --cap")
                 queue.append(r)
                 yield r
 

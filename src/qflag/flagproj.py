@@ -38,7 +38,8 @@ from qflag.repn import hw_module
 
 class FlagContext:
     """Everything needed to state and check the projection identities for
-    one (root system, parabolic subset, scalar field) choice.
+    one (root system, parabolic subset, scalar field) choice.  cap bounds
+    the defining module and, as its algebra's cap, every zero test.
 
     The matrix-unit cores mu[a,b][i,j] (phat included, as mu[0,0]) are
     memoized per context on (a, b, i, j), at most dim^4 one-term elements.
@@ -52,7 +53,7 @@ class FlagContext:
         self.S = self.par.S
         self.field = field
         self.lam = self.par.rho_S
-        self.alg = CoordAlgebra(rs, field)
+        self.alg = CoordAlgebra(rs, field, cap)
         self.m = hw_module(rs, self.lam, field, cap=cap)
         self.mid = self.alg.register(self.m)
         self.dim = self.m.dim
@@ -126,7 +127,7 @@ def _star_law(ctx, a, b, i, j):
 # -- verifications --------------------------------------------------------------
 
 
-def verify_idempotent(ctx: FlagContext, pairs=None, cap=DEFAULT_CAP):
+def verify_idempotent(ctx: FlagContext, pairs=None):
     """Check sum_k N_k phat[i,k] phat[k,j] = phat[i,j] for the given (i,j)
     pairs (all pairs by default).  Returns {(i,j): ZeroCertificate}; all
     pairs are tested as one batch, so they share one vector closure and,
@@ -134,7 +135,7 @@ def verify_idempotent(ctx: FlagContext, pairs=None, cap=DEFAULT_CAP):
     pairs = list(itertools.product(range(ctx.dim), repeat=2)
                  if pairs is None else pairs)
     certs = ctx.alg.batch_zero_test(
-        (_product_law(ctx, 0, 0, 0, 0, i, j) for i, j in pairs), cap=cap)
+        (_product_law(ctx, 0, 0, 0, 0, i, j) for i, j in pairs))
     return dict(zip(pairs, certs))
 
 
@@ -144,16 +145,16 @@ def verify_selfadjoint(ctx: FlagContext) -> bool:
                for i, j in itertools.product(range(ctx.dim), repeat=2))
 
 
-def verify_qtrace(ctx: FlagContext, cap=DEFAULT_CAP) -> ZeroCertificate:
+def verify_qtrace(ctx: FlagContext) -> ZeroCertificate:
     """sum_i q^(2rho, lam_i) N_i phat[i,i] = q^(2rho, rho_S) 1."""
-    return ctx.alg.is_zero(_trace_law(ctx, 0, 0), cap=cap)
+    return ctx.alg.is_zero(_trace_law(ctx, 0, 0))
 
 
-def levi_generators(ctx: FlagContext):
+def levi_generators(rs, S):
     """Generators of the invariance subalgebra: the full torus (every K_i)
-    together with E_a, F_a for the marked simple roots a."""
-    out = [("K", i, 1) for i in range(1, ctx.rs.rank + 1)]
-    for a in ctx.S:
+    together with E_a, F_a for the marked simple roots a in S."""
+    out = [("K", i, 1) for i in range(1, rs.rank + 1)]
+    for a in S:
         out.extend([("E", a), ("F", a)])
     return out
 
@@ -164,7 +165,7 @@ def verify_levi_invariance(ctx: FlagContext):
     term-by-term because the highest-weight column is a Levi-trivial line).
     Returns {generator: bool over all entries}."""
     out = {}
-    for gen in levi_generators(ctx):
+    for gen in levi_generators(ctx.rs, ctx.S):
         ok = True
         for i in range(ctx.dim):
             for j in range(ctx.dim):
@@ -178,7 +179,7 @@ def verify_levi_invariance(ctx: FlagContext):
     return out
 
 
-def verify_matrix_units(ctx: FlagContext, indices=None, cap=DEFAULT_CAP,
+def verify_matrix_units(ctx: FlagContext, indices=None,
                         laws=("product", "star", "trace")):
     """The exact matrix-unit identities named in laws, over the given
     index set:
@@ -202,13 +203,13 @@ def verify_matrix_units(ctx: FlagContext, indices=None, cap=DEFAULT_CAP,
         entries = list(itertools.product(idx, repeat=2))
         for abcd in itertools.product(idx, repeat=4):
             certs = ctx.alg.batch_zero_test(
-                (_product_law(ctx, *abcd, i, j) for i, j in entries), cap=cap)
+                (_product_law(ctx, *abcd, i, j) for i, j in entries))
             product.update(
                 (abcd + ij, cert) for ij, cert in zip(entries, certs))
     if "star" in laws:
         out["star"] = all(_star_law(ctx, *abij)
                           for abij in itertools.product(idx, repeat=4))
     if "trace" in laws:
-        out["trace"] = {ab: ctx.alg.is_zero(_trace_law(ctx, *ab), cap=cap)
+        out["trace"] = {ab: ctx.alg.is_zero(_trace_law(ctx, *ab))
                         for ab in itertools.product(idx, repeat=2)}
     return out

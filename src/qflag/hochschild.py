@@ -39,7 +39,6 @@ from __future__ import annotations
 from random import Random
 
 from qflag import cartan
-from qflag.coord import DEFAULT_CAP
 from qflag.flagproj import FlagContext
 
 
@@ -109,9 +108,9 @@ def normalize(ch: Chain) -> Chain:
     return Chain(ch.alg, ch.degree, out)
 
 
-def chain_zero(ch: Chain, cap=DEFAULT_CAP):
+def chain_zero(ch: Chain):
     """Exact zero certificate for a chain of degree <= 1."""
-    return ch.alg.tensor_zero_test(list(ch.terms), cap=cap)
+    return ch.alg.tensor_zero_test(list(ch.terms))
 
 
 # -- the canonical cycle ---------------------------------------------------------
@@ -138,7 +137,7 @@ def idempotent_cycle(ctx: FlagContext) -> Chain:
     return Chain(alg, 2, terms)
 
 
-def verify_cycle(ctx: FlagContext, cap=DEFAULT_CAP):
+def verify_cycle(ctx: FlagContext):
     """The twisted boundary of the canonical cycle vanishes after
     normalization; the unnormalized boundary's counit content is measured.
 
@@ -146,17 +145,17 @@ def verify_cycle(ctx: FlagContext, cap=DEFAULT_CAP):
     the residual is the counit pairing of the raw boundary, expected to be
     the trace weight q^(2rho, rho_S)."""
     z = twisted_boundary(idempotent_cycle(ctx), twist="theta")
-    cert = chain_zero(normalize(z), cap=cap)
+    cert = chain_zero(normalize(z))
     residual = z.counit_value()
     expected = ctx.field.q_power(ctx.trace_exp)
     return cert, residual, expected
 
 
-def identity_twist_control(ctx: FlagContext, cap=DEFAULT_CAP):
+def identity_twist_control(ctx: FlagContext):
     """Negative control: with the identity twist the normalized boundary
     must NOT vanish."""
     z = twisted_boundary(idempotent_cycle(ctx), twist="identity")
-    return chain_zero(normalize(z), cap=cap)
+    return chain_zero(normalize(z))
 
 
 # -- simple-root cocycles ----------------------------------------------------------

@@ -7,10 +7,16 @@ and 1.  ``run_suite`` executes the fixed phase order
     cartan -> repn -> projection -> invariance -> matrixunits -> cycle
            -> pairing -> cocycle -> kahler
 
-recording one entry per check.  Failures never abort the suite; checks
+recording one entry per check.  The checks form one ordered table built
+from the config alone, so every check the config names is recorded, in
+the same order, whatever fails.  Failures never abort the suite; checks
 that overflow the dimension cap are downgraded to "skipped" with the
-reason recorded.  The kahler phase always runs at q = 1 (it is the
-classical-limit block) regardless of the scalar mode.
+reason recorded.  A check reads its context through a getter that builds
+it once and re-raises a failed build, so a failed build decides every
+check that needs it.  The cap is fixed once per context, for its
+defining module and every zero-test closure.  The kahler phase always
+runs at q = 1 (it is the classical-limit block) regardless of the scalar
+mode.
 
 Report bodies are deterministic for a fixed config and seed; the only
 non-reproducible fields are the per-record wall times, which comparison
@@ -55,6 +61,9 @@ class CaseConfig:
     only: tuple | None = None  # PHASES subset, in PHASES order; None = all
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
+        object.__setattr__(self, "family", self.family.upper())
         for key in ("rank", "cap", "seed"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -73,10 +82,14 @@ class CaseConfig:
             if len(set(qs)) != len(qs):
                 raise ValueError(f"q values repeat: {', '.join(map(str, qs))}")
             object.__setattr__(self, "q_values", qs)
+        for i in self.subset:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"subset indices must be integers, got {i!r}")
         subset = tuple(sorted(self.subset))
         if len(set(subset)) != len(subset):
             raise ValueError(f"subset repeats: {', '.join(map(str, subset))}")
         object.__setattr__(self, "subset", subset)
+        cartan.parabolic(cartan.root_system(self.family, self.rank), subset)
         if self.only is not None:
             for p in self.only:
                 if p not in PHASES:
@@ -165,199 +178,179 @@ def root_label(root):
     return "+".join(parts) if parts else "0"
 
 
-def _gen_label(gen):
-    return f"{gen[0]}{gen[1]}"
+def _once(fn):
+    """A getter that runs fn on its first call and then returns the same
+    value, or raises the same exception, without running fn again."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((fn(), None))
+            except Exception as exc:                         # noqa: BLE001
+                memo.append((None, exc))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+    return get
 
 
-def _run(records, name, q, fn):
-    """Execute one check, timing it and trapping failures."""
+def _run(records, q, names, fn):
+    """Execute the one call that decides the checks `names`, timing it and
+    trapping failures.  fn returns one (status, lhs, rhs, sizes, note) per
+    name; if it raises, every name gets the same record, skipped on
+    CapExceeded and failed otherwise.  The records share the call's
+    seconds."""
     t0 = time.perf_counter()
     try:
-        status, lhs, rhs, sizes, note = fn()
+        results = list(fn())
     except CapExceeded as exc:
-        status, lhs, rhs, sizes, note = "skipped", "", "", (), \
-            f"cap exceeded: {exc}"
+        results = [("skipped", "", "", (), f"cap exceeded: {exc}")] * \
+            len(names)
     except Exception as exc:                                 # noqa: BLE001
-        status, lhs, rhs, sizes, note = "fail", "", "", (), \
-            f"{type(exc).__name__}: {exc}"
-    rec = CheckRecord(name, q, status, lhs, rhs, tuple(sizes),
-                      round(time.perf_counter() - t0, 6), note)
-    records.append(rec)
-    return rec
+        results = [("fail", "", "", (), f"{type(exc).__name__}: {exc}")] * \
+            len(names)
+    seconds = round(time.perf_counter() - t0, 6)
+    for name, (status, lhs, rhs, sizes, note) in zip(names, results,
+                                                     strict=True):
+        records.append(CheckRecord(name, q, status, lhs, rhs, tuple(sizes),
+                                   seconds, note))
 
 
-def _cert_result(cert, lhs_label="zero"):
-    status = "pass" if cert.zero else "fail"
-    lhs = lhs_label if cert.zero else f"nonzero (witness {cert.witness})"
-    return status, lhs, "zero", tuple(cert.closure_dims), ""
+def _result(ok, lhs, rhs, sizes=()):
+    return "pass" if ok else "fail", str(lhs), str(rhs), sizes, ""
 
 
-def _multi_cert_result(certs):
-    sizes = sorted({d for c in certs for d in c.closure_dims})
-    bad = sum(1 for c in certs if not c.zero)
-    if bad:
-        return "fail", f"{bad} of {len(certs)} nonzero", "all zero", \
-            tuple(sizes), ""
-    return "pass", f"{len(certs)} differences zero", "all zero", \
-        tuple(sizes), ""
+def _eq(got, want):
+    return _result(got == want, got, want)
 
 
 def _bool_result(ok, lhs_true, lhs_false, rhs):
-    return ("pass" if ok else "fail", lhs_true if ok else lhs_false, rhs,
-            (), "")
+    return _result(ok, lhs_true if ok else lhs_false, rhs)
+
+
+def _cert_result(cert, lhs_label):
+    return _result(cert.zero, lhs_label if cert.zero
+                   else f"nonzero (witness {cert.witness})", "zero",
+                   cert.closure_dims)
+
+
+def _multi_cert_result(certs):
+    certs = list(certs)
+    sizes = sorted({d for c in certs for d in c.closure_dims})
+    bad = sum(1 for c in certs if not c.zero)
+    return _result(not bad, f"{bad} of {len(certs)} nonzero" if bad
+                   else f"{len(certs)} differences zero", "all zero", sizes)
+
+
+def _q_checks(cfg, rs, par, ctx):
+    """(phase, names, fn) for the per-q checks, in report order; ctx is the
+    getter of the q value's FlagContext."""
+    yield "repn", ["repn.build"], lambda: [_result(
+        True, f"dim {ctx().m.dim}, highest weight {list(par.rho_S)}", "")]
+    yield "projection", ["projection.idempotent"], lambda: [
+        _multi_cert_result(verify_idempotent(ctx()).values())]
+    yield "projection", ["projection.selfadjoint"], lambda: [_bool_result(
+        verify_selfadjoint(ctx()), "star-symmetric", "star broken",
+        "P* = P")]
+    yield "projection", ["projection.qtrace"], lambda: [
+        _cert_result(verify_qtrace(ctx()), "trace matches weight")]
+
+    gens = levi_generators(rs, par.S)
+
+    def invariance():
+        inv = verify_levi_invariance(ctx())
+        return [_bool_result(inv[gen], "all entries fixed", "entry moved",
+                             "counit action") for gen in gens]
+    yield "invariance", [f"invariance.{g[0]}{g[1]}" for g in gens], \
+        invariance
+
+    def law(name):
+        dim = ctx().dim
+        return verify_matrix_units(
+            ctx(), indices=None if dim <= 2 else (0, 1, dim - 1),
+            laws=(name,))[name]
+    yield "matrixunits", ["matrixunits.product"], lambda: [
+        _multi_cert_result(law("product").values())]
+    yield "matrixunits", ["matrixunits.star"], lambda: [_bool_result(
+        law("star"), "star law holds", "star law broken", "syntactic")]
+    yield "matrixunits", ["matrixunits.trace"], lambda: [
+        _multi_cert_result(law("trace").values())]
+
+    def cycle():
+        cert, residual, expected = verify_cycle(ctx())
+        return [_cert_result(cert, "boundary vanishes"),
+                ("measured", str(residual), str(expected), (), "")]
+    yield "cycle", ["cycle.normalized", "cycle.unnormalized.residual"], cycle
+
+    for a in range(1, rs.rank + 1):
+        yield "pairing", [f"pairing.{a}"], lambda a=a: [
+            _eq(*verify_pairing(ctx(), a))]
+    for a in range(1, rs.rank + 1):
+        for seed in (cfg.seed, cfg.seed + 1):
+            def cocycle(a=a, seed=seed):
+                val = verify_cocycle_sample(ctx(), a, seed)
+                return [_result(not val, val, 0)]
+            yield "cocycle", [f"cocycle.{a}.{seed}"], cocycle
+
+
+def _kahler_checks(rs, par, kk):
+    """(phase, names, fn) for the classical block, in report order; kk is
+    the getter of its ClassicalKahler."""
+    labels = [root_label(gamma) for gamma in par.nil_pos]
+    yield "kahler", ["kahler.build"], lambda: [
+        _result(True, f"{len(kk().nil_roots)} non-levi roots", "")]
+    yield "kahler", [f"normlemma.{x}" for x in labels], lambda: [
+        _eq(*gw) for gw in verify_norm_lemma(kk()).values()]
+
+    def matrix():
+        roots, chat, c = kk().kahler_matrix()
+        out = []
+        for i, gamma in enumerate(roots):
+            got = chat[i][i] / c[i]
+            want = Fraction(cartan.form_rw(rs, gamma, kk().ctx.lam))
+            out.append(_result(got == want and chat[i][i] > 0, got, want))
+        bad = [(i, j) for i in range(len(roots)) for j in range(len(roots))
+               if i != j and chat[i][j]]
+        return out + [_bool_result(not bad, "all off-diagonal zero",
+                                   f"nonzero at {bad}", "zero")]
+    yield "kahler", [f"kahler.diag.{x}" for x in labels] + \
+        ["kahler.offdiag"], matrix
+
+    def hkr():
+        ok, got, want = verify_hkr(kk())
+
+        def rows(m):
+            return [[str(x) for x in row] for row in m]
+        return [_result(ok, rows(got), rows(want))]
+    yield "kahler", ["hkr.match"], hkr
 
 
 def run_suite(cfg: CaseConfig) -> Report:
+    """Run the requested checks of the table: cartan, the per-q checks of
+    each q value, then the classical block.  A context is built by the
+    first check that needs it, within that check's seconds, and is dropped
+    once its q value's checks have run."""
     phases = cfg.only if cfg.only is not None else PHASES
     rep = Report(cfg.echo())
-    records = rep.records
-
     rs = cartan.root_system(cfg.family, cfg.rank)
     par = cartan.parabolic(rs, cfg.subset)
 
-    if "cartan" in phases:
-        def chk():
-            lhs = (f"positive roots {len(rs.pos_roots)}, levi "
-                   f"{len(par.levi_pos)}, nil {len(par.nil_pos)}")
-            return "pass", lhs, "", (), ""
-        _run(records, "cartan.build", "-", chk)
-
+    def run(q, table):
+        for phase, names, fn in table:
+            if phase in phases:
+                _run(rep.records, q, names, fn)
+    run("-", [("cartan", ["cartan.build"], lambda: [_result(
+        True, f"positive roots {len(rs.pos_roots)}, levi "
+        f"{len(par.levi_pos)}, nil {len(par.nil_pos)}", "")])])
     for qtag, field in cfg.fields():
-        ctx = None
-        if "repn" in phases or any(p in phases for p in
-                                   ("projection", "invariance", "matrixunits",
-                                    "cycle", "pairing", "cocycle")):
-            try:
-                ctx = flag_context(cfg.family, cfg.rank, cfg.subset, field,
-                                   cfg.cap)
-            except Exception as exc:                         # noqa: BLE001
-                def _reraise(exc=exc):
-                    raise exc
-                _run(records, "repn.build", qtag, _reraise)
-                continue
-
-        if "repn" in phases:
-            def chk():
-                lhs = f"dim {ctx.m.dim}, highest weight {list(par.rho_S)}"
-                return "pass", lhs, "", (), ""
-            _run(records, "repn.build", qtag, chk)
-
-        if "projection" in phases:
-            _run(records, "projection.idempotent", qtag, lambda: (
-                _multi_cert_result(
-                    list(verify_idempotent(ctx, cap=cfg.cap).values()))))
-            _run(records, "projection.selfadjoint", qtag, lambda: (
-                _bool_result(verify_selfadjoint(ctx),
-                             "star-symmetric", "star broken", "P* = P")))
-            _run(records, "projection.qtrace", qtag, lambda: (
-                _cert_result(verify_qtrace(ctx, cap=cfg.cap),
-                             "trace matches weight")))
-
-        if "invariance" in phases:
-            inv = verify_levi_invariance(ctx)
-            for gen in levi_generators(ctx):
-                ok = inv[gen]
-                _run(records, f"invariance.{_gen_label(gen)}", qtag,
-                     lambda ok=ok: _bool_result(
-                         ok, "all entries fixed", "entry moved",
-                         "counit action"))
-
-        if "matrixunits" in phases:
-            idx = None if ctx.dim <= 2 else (0, 1, ctx.dim - 1)
-
-            def law(name):
-                return verify_matrix_units(ctx, indices=idx, cap=cfg.cap,
-                                           laws=(name,))[name]
-            _run(records, "matrixunits.product", qtag, lambda: (
-                _multi_cert_result(list(law("product").values()))))
-            _run(records, "matrixunits.star", qtag, lambda: (
-                _bool_result(law("star"), "star law holds",
-                             "star law broken", "syntactic")))
-            _run(records, "matrixunits.trace", qtag, lambda: (
-                _multi_cert_result(list(law("trace").values()))))
-
-        if "cycle" in phases:
-            cyc_parts = {}
-
-            def chk_cycle():
-                cert, residual, expected = verify_cycle(ctx, cap=cfg.cap)
-                cyc_parts["residual"] = residual
-                cyc_parts["expected"] = expected
-                return _cert_result(cert, "boundary vanishes")
-            _run(records, "cycle.normalized", qtag, chk_cycle)
-
-            def chk_residual():
-                if "residual" not in cyc_parts:
-                    return "skipped", "", "", (), "cycle check did not run"
-                return ("measured", str(cyc_parts["residual"]),
-                        str(cyc_parts["expected"]), (), "")
-            _run(records, "cycle.unnormalized.residual", qtag, chk_residual)
-
-        if "pairing" in phases:
-            for a in range(1, rs.rank + 1):
-                def chk(a=a):
-                    got, want = verify_pairing(ctx, a)
-                    status = "pass" if got == want else "fail"
-                    return status, str(got), str(want), (), ""
-                _run(records, f"pairing.{a}", qtag, chk)
-
-        if "cocycle" in phases:
-            for a in range(1, rs.rank + 1):
-                for seed in (cfg.seed, cfg.seed + 1):
-                    def chk(a=a, seed=seed):
-                        val = verify_cocycle_sample(ctx, a, seed)
-                        status = "pass" if not val else "fail"
-                        return status, str(val), "0", (), ""
-                    _run(records, f"cocycle.{a}.{seed}", qtag, chk)
-
-    if "kahler" in phases:
-        kah = {}
-
-        def chk_build():
-            kah["kk"] = ClassicalKahler(
-                classical_context(cfg.family, cfg.rank, cfg.subset,
-                                  cfg.cap))
-            roots = kah["kk"].nil_roots
-            return "pass", f"{len(roots)} non-levi roots", "", (), ""
-        _run(records, "kahler.build", "classical", chk_build)
-
-        kk = kah.get("kk")
-        if kk is not None:
-            nl = verify_norm_lemma(kk)
-            for gamma in kk.nil_roots:
-                def chk(gamma=gamma):
-                    got, want = nl[gamma]
-                    status = "pass" if got == want else "fail"
-                    return status, str(got), str(want), (), ""
-                _run(records, f"normlemma.{root_label(gamma)}", "classical",
-                     chk)
-            roots, chat, c = kk.kahler_matrix()
-            for i, gamma in enumerate(roots):
-                def chk(i=i, gamma=gamma):
-                    got = chat[i][i] / c[i]
-                    want = Fraction(cartan.form_rw(rs, gamma, kk.ctx.lam))
-                    ok = got == want and chat[i][i] > 0
-                    return ("pass" if ok else "fail", str(got), str(want),
-                            (), "")
-                _run(records, f"kahler.diag.{root_label(gamma)}", "classical",
-                     chk)
-
-            def chk_off():
-                bad = [(i, j) for i in range(len(roots))
-                       for j in range(len(roots))
-                       if i != j and chat[i][j]]
-                return ("pass" if not bad else "fail",
-                        "all off-diagonal zero" if not bad
-                        else f"nonzero at {bad}", "zero", (), "")
-            _run(records, "kahler.offdiag", "classical", chk_off)
-
-            def chk_hkr():
-                ok, got, want = verify_hkr(kk)
-                return ("pass" if ok else "fail",
-                        str([[str(x) for x in row] for row in got]),
-                        str([[str(x) for x in row] for row in want]), (), "")
-            _run(records, "hkr.match", "classical", chk_hkr)
-
+        run(qtag, _q_checks(cfg, rs, par, _once(
+            lambda field=field: flag_context(cfg.family, cfg.rank,
+                                             cfg.subset, field, cfg.cap))))
+    run("classical", _kahler_checks(rs, par, _once(
+        lambda: ClassicalKahler(classical_context(cfg.family, cfg.rank,
+                                                  cfg.subset, cfg.cap)))))
     return rep
 
 

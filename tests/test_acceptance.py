@@ -109,7 +109,7 @@ def test_criterion_4_projection_laws_and_levi_invariance(law_ctxs):
         assert verify_selfadjoint(ctx), f"{tag}: P* != P"
         assert verify_qtrace(ctx).zero, f"{tag}: quantum trace off"
         inv = verify_levi_invariance(ctx)
-        assert set(inv) == set(levi_generators(ctx))
+        assert set(inv) == set(levi_generators(ctx.rs, ctx.S))
         assert all(inv.values()), f"{tag}: invariance broken"
 
 

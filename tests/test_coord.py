@@ -22,17 +22,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import cartan
-from qflag.coord import CoordAlgebra, ZeroCertificate, _Radix
+from qflag.coord import DEFAULT_CAP, CoordAlgebra, ZeroCertificate, _Radix
 from qflag.qscalar import FixedField, QScalar, SymbolicField, classical_field
 from qflag.repn import CapExceeded, hw_module
 
 Q = __import__("fractions").Fraction
 
 
-def make(family, rank, lam, field=None):
+def make(family, rank, lam, field=None, cap=DEFAULT_CAP):
     field = field or SymbolicField()
     rs = cartan.root_system(family, rank)
-    alg = CoordAlgebra(rs, field)
+    alg = CoordAlgebra(rs, field, cap)
     mid = alg.register(hw_module(rs, lam, field))
     return alg, mid
 
@@ -442,24 +442,23 @@ def test_zero_test_refuses_classical():
         alg.is_zero(alg.mc(mid, 0, 0))
 
 
-def test_zero_test_cap(a1):
-    alg, mid = a1
-    x = phat(alg, mid, 0, 0) * phat(alg, mid, 1, 1)
+def test_zero_test_cap():
+    alg, mid = make("A", 1, (1,), cap=2)
+    y = phat(alg, mid, 0, 0) * phat(alg, mid, 1, 1)
     with pytest.raises(CapExceeded):
-        # fresh algebra so the cached closure cannot satisfy the call
-        alg2, mid2 = make("A", 1, (1,))
-        y = phat(alg2, mid2, 0, 0) * phat(alg2, mid2, 1, 1)
-        alg2.is_zero(y, cap=2)
+        alg.is_zero(y)
 
 
 def test_zero_test_cap_counts_seeds():
     # the stacked leg e_0 (+) e_0(x)e_0 has two weight components, both
     # highest weight vectors: the raising closure is its two seeds alone
-    alg, mid = make("A", 1, (1,))
+    alg, mid = make("A", 1, (1,), cap=1)
     x = alg.mc(mid, 0, 0)
     with pytest.raises(CapExceeded):
-        alg.is_zero(x + x * x, cap=1)
-    assert alg.is_zero(x + x * x, cap=2).closure_dims == (2, 1)
+        alg.is_zero(x + x * x)
+    alg, mid = make("A", 1, (1,), cap=2)
+    x = alg.mc(mid, 0, 0)
+    assert alg.is_zero(x + x * x).closure_dims == (2, 1)
 
 
 def test_zero_test_determinism(a1):
@@ -503,12 +502,12 @@ def test_tensor_zero_two_legs(a1):
     assert cert.witness
 
 
-def _completeness_pair():
-    """A zero 2-leg input and its legs swapped, on a fresh A2 algebra: P is
-    the completeness law sum_k N_k phat[2,k] phat[k,0] - phat[2,0] and z is
-    phat[1,0].  The certificate of P (x) z is (6, 3, 5, 8) and that of
+def _completeness_pair(cap=DEFAULT_CAP):
+    """A zero 2-leg input and its legs swapped, on a fresh A2 algebra with
+    the given cap: P is the completeness law
+    sum_k N_k phat[2,k] phat[k,0] - phat[2,0] and z is phat[1,0].  The certificate of P (x) z is (6, 3, 5, 8) and that of
     z (x) P is (3, 6, 8, 5)."""
-    alg, mid = make("A", 2, (1, 0))
+    alg, mid = make("A", 2, (1, 0), cap=cap)
     N = alg.modules[mid].norms
     lhs = alg.zero()
     for k in range(3):
@@ -524,14 +523,15 @@ def test_two_leg_cap_covers_both_stages():
     closure of its leg-1 contractions (stage 2) alike: a cap of 7 lets both
     raising closures (at most 6) through but not a stage of dimension 8,
     and a cap of 8, the larger stage, passes."""
-    alg, pz, zp = _completeness_pair()
+    alg, pz, zp = _completeness_pair(cap=7)
     with pytest.raises(CapExceeded):
-        alg.tensor_zero_test(zp, cap=7)      # stage 1 has dimension 8
+        alg.tensor_zero_test(zp)             # stage 1 has dimension 8
     with pytest.raises(CapExceeded):
-        alg.tensor_zero_test(pz, cap=7)      # stage 2 has dimension 8
-    cert = alg.tensor_zero_test(zp, cap=8)
+        alg.tensor_zero_test(pz)             # stage 2 has dimension 8
+    alg, pz, zp = _completeness_pair(cap=8)
+    cert = alg.tensor_zero_test(zp)
     assert cert.zero and cert.closure_dims == (3, 6, 8, 5)
-    cert = alg.tensor_zero_test(pz, cap=8)
+    cert = alg.tensor_zero_test(pz)
     assert cert.zero and cert.closure_dims == (6, 3, 5, 8)
 
 

@@ -193,20 +193,20 @@ def test_matrix_unit_product_needs_delta(a1):
 
 def test_cap_propagates(a1):
     # the (0, 0) law has certificate (3, 2): cap 2 is overrun by U+v
-    ctx = fp.flag_context("A", 1, (), SymbolicField())
+    ctx = fp.flag_context("A", 1, (), SymbolicField(), cap=2)
+    assert ctx.alg.cap == 2
     with pytest.raises(CapExceeded):
-        fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=2)
+        fp.verify_idempotent(ctx, pairs=[(0, 0)])
 
 
 def test_cap_holds_on_a_cached_closure():
-    """A context that already passed a check under the default cap still
-    enforces a smaller cap on the same check, exactly as a fresh context
-    does: nothing the first check leaves on the context bypasses the
-    cap."""
-    ctx = fp.flag_context("A", 1, (), SymbolicField())
-    assert fp.verify_idempotent(ctx, pairs=[(0, 0)])[(0, 0)].zero
-    with pytest.raises(CapExceeded):
-        fp.verify_idempotent(ctx, pairs=[(0, 0)], cap=2)
+    """A context enforces its cap on every call of a check, not only the
+    first: nothing an overrun leaves on the context lets a second call of
+    the same check through."""
+    ctx = fp.flag_context("A", 1, (), SymbolicField(), cap=2)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            fp.verify_idempotent(ctx, pairs=[(0, 0)])
 
 
 def _raw_terms(elem):

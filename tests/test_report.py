@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from qflag.cli import main
-from qflag.report import (CaseConfig, CheckRecord, Report, comparison_body,
-                          emit_report, root_label, run_suite)
+from qflag.report import (PHASES, CaseConfig, CheckRecord, Report,
+                          comparison_body, emit_report, root_label, run_suite)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,6 +66,30 @@ def test_subset_is_sorted_and_cap_positive():
 def test_repeated_subset_index_rejected():
     with pytest.raises(ValueError, match="subset repeats: 2, 2"):
         CaseConfig("A", 2, (2, 2))
+
+
+def test_family_is_upper_cased():
+    """A lower-case family letter is the same case, not a second spelling
+    echoed in the report."""
+    a = CaseConfig("a", 1)
+    assert a == CaseConfig("A", 1)
+    assert a.echo()["family"] == "A"
+
+
+@pytest.mark.parametrize("case,message", [
+    (("A", 2, ("2",)), "subset indices must be integers, got '2'"),
+    (("A", 2, (2.0,)), "subset indices must be integers, got 2.0"),
+    (("A", 2, (True,)), "subset indices must be integers, got True"),
+    (("A", 2, (5,)), r"subset \(5,\) out of range for A2"),
+    (("Z", 1), "unsupported root system Z1"),
+    (("A", 7), "rank 7 exceeds the supported cap of 4"),
+    ((1, 1), "family must be a string, got 1"),
+])
+def test_unrunnable_case_rejected(case, message):
+    """A case that run_suite cannot run, or would run under another name,
+    is rejected when the config is made."""
+    with pytest.raises(ValueError, match=message):
+        CaseConfig(*case)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -151,19 +175,19 @@ def test_evaluated_mode_repeats_per_q():
     assert rep.verdict == "pass"
 
 
-def test_failed_context_build_does_not_abort_suite(monkeypatch):
-    """A context build that raises becomes one failed repn.build record per
-    q value; that q value's other phases are skipped, and the later q
-    values and the kahler phase still run."""
+def test_failed_context_build_does_not_abort_suite(monkeypatch, a1_report):
+    """A context build that raises fails every check of its q value, under
+    the names a passing suite records, and the later q values and the
+    kahler phase still run."""
     def broken(*args):
         raise RuntimeError("no context")
     monkeypatch.setattr("qflag.report.flag_context", broken)
     rep = run_suite(CaseConfig("A", 1, q_values=("1/2", "2/3")))
     per_q = [(r.name, r.q, r.status, r.note) for r in rep.records
              if r.q not in ("-", "classical")]
-    assert per_q == [
-        ("repn.build", "1/2", "fail", "RuntimeError: no context"),
-        ("repn.build", "2/3", "fail", "RuntimeError: no context")]
+    names = [r.name for r in a1_report.records if r.q == "symbolic"]
+    assert per_q == [(name, q, "fail", "RuntimeError: no context")
+                     for q in ("1/2", "2/3") for name in names]
     kahler = [r for r in rep.records if r.q == "classical"]
     assert len(kahler) == 5 and {r.status for r in kahler} == {"pass"}
     assert rep.verdict == "fail"
@@ -197,15 +221,40 @@ def test_cap_overrun_downgrades_to_skipped():
 
 def test_cap_bounds_the_module_build():
     """The cap also bounds the defining module: A2 S={} needs dimension 8,
-    so a cap of 7 skips repn.build here and kahler.build at q = 1."""
+    so a cap of 7 skips repn.build here and every kahler check at q = 1."""
     rep = run_suite(CaseConfig("A", 2, (), q_values=("1/2",), cap=7,
                                only=("repn", "kahler")))
-    by_name = {r.name: r for r in rep.records}
-    assert [r.name for r in rep.records] == ["repn.build", "kahler.build"]
-    for rec in by_name.values():
+    assert [r.name for r in rep.records] == [
+        "repn.build", "kahler.build",
+        "normlemma.a2", "normlemma.a1", "normlemma.a1+a2",
+        "kahler.diag.a2", "kahler.diag.a1", "kahler.diag.a1+a2",
+        "kahler.offdiag", "hkr.match"]
+    for rec in rep.records:
         assert rec.status == "skipped"
         assert "dim V((1, 1)) = 8 exceeds the cap 7" in rec.note
     assert rep.verdict == "pass"
+
+
+def test_every_named_check_is_recorded(capsys):
+    """A cap overrun never drops a check from the report: the names are
+    those of a run that builds everything, the overrun ones are skipped,
+    and the summary counts every one of them."""
+    phases = tuple(p for p in PHASES if p != "matrixunits")
+    full = run_suite(CaseConfig("A", 2, (), q_values=("1/2",), only=phases))
+    rep = run_suite(CaseConfig("A", 2, (), q_values=("1/2",), cap=7,
+                               only=phases))
+    assert [r.name for r in rep.records] == [r.name for r in full.records]
+    assert len(rep.records) == 24
+    assert [r.name for r in rep.records if r.status != "skipped"] == [
+        "cartan.build"]
+    assert emit_report(rep) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:-1] == ["skipped: 23", "warning: 23 check(s) skipped, "
+                          "not verified; see the notes above"]
+    assert out[-1] == "verdict: pass"
+    assert main(["verify", "--type", "C", "--rank", "4", "--q", "1/2",
+                 "--cap", "100"]) == 0
+    assert "skipped: 60" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("cap,trace_status", [(2, "skipped"), (3, "pass")])

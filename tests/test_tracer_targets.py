@@ -46,3 +46,26 @@ def test_tracer_patches_and_restores_its_targets():
         assert old.keys() == new.keys(), owner
         for name, value in old.items():
             assert new[name] is value, (owner, name)
+
+
+def test_every_traced_span_sees_the_suite_calls():
+    """The benchmark's per-layer metrics read the call counts of the
+    wrapped names.  A check that captured a wrapped function before the
+    tracer patched it would bypass the wrapper and read zero without
+    failing, so the full A1 symbolic suite must call every span the tracer
+    installs at least once."""
+    tracer = _load_tracer().Tracer()
+    installed = []
+    span = tracer.span
+
+    def recording_span(name, layer, fn, hook=None):
+        installed.append(name)
+        return span(name, layer, fn, hook)
+    tracer.span = recording_span
+    with tracer.installed():
+        with tracer.traced("A1/case") as sec:
+            rep = report.run_suite(CaseConfig("A", 1))
+    assert rep.verdict == "pass"
+    for layer in ("report", "flagproj", "hochschild", "classical"):
+        assert any(name.startswith(f"{layer}.") for name in installed)
+    assert [name for name in installed if not sec.calls[name]] == []
