@@ -49,7 +49,7 @@ class ClassicalKahler:
     """Root vectors, adjoints, and the origin Gram data for one parabolic."""
 
     def __init__(self, ctx: FlagContext):
-        if not getattr(ctx.field, "is_classical", False):
+        if not ctx.field.is_classical:
             raise ValueError("classical analysis needs the q = 1 field")
         self.ctx = ctx
         rs = ctx.rs
@@ -148,11 +148,6 @@ class ClassicalKahler:
         c = [self.c[a] for a in roots]
         return roots, chat, c
 
-    def kahler_diagonal(self):
-        """chat[alpha, alpha] / c_alpha, expected (rho_S, alpha)."""
-        roots, chat, c = self.kahler_matrix()
-        return [chat[i][i] / c[i] for i in range(len(roots))]
-
 
 def verify_norm_lemma(kk: ClassicalKahler):
     """(f_gamma v0, f_gamma v0) = c_gamma (rho_S, gamma) per non-Levi root.
@@ -167,19 +162,18 @@ def verify_norm_lemma(kk: ClassicalKahler):
 
 
 def verify_kahler_shape(kk: ClassicalKahler):
-    """Off-diagonal zero, diagonal (rho_S, gamma) and positive.  Returns
-    (ok, diag, expected_diag)."""
+    """Off-diagonal zero, diagonal chat[gamma, gamma] / c_gamma equal to
+    (rho_S, gamma) and positive.  Returns (ok, diag, expected_diag,
+    offdiag), offdiag the (i, j) of the non-zero off-diagonal entries."""
     roots, chat, c = kk.kahler_matrix()
-    ok = True
-    for i in range(len(roots)):
-        for j in range(len(roots)):
-            if i != j and chat[i][j]:
-                ok = False
-    diag = kk.kahler_diagonal()
+    n = len(roots)
+    offdiag = [(i, j) for i in range(n) for j in range(n)
+               if i != j and chat[i][j]]
+    diag = [chat[i][i] / c[i] for i in range(n)]
     expected = [Fraction(cartan.form_rw(kk.ctx.rs, g, kk.ctx.lam))
                 for g in roots]
-    ok = ok and diag == expected and all(d > 0 for d in diag)
-    return ok, diag, expected
+    ok = not offdiag and diag == expected and all(d > 0 for d in diag)
+    return ok, diag, expected, offdiag
 
 
 # -- the origin evaluation of the canonical cycle -------------------------------

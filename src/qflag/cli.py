@@ -96,7 +96,7 @@ def _case(args) -> CaseConfig:
     if not args.type or args.rank is None:
         raise ValueError("--type and --rank are required")
     return CaseConfig(
-        family=args.type.upper(),
+        family=args.type,
         rank=args.rank,
         subset=_parse_subset(args.subset),
         q_values=_parse_q(args.q),

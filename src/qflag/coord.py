@@ -95,13 +95,15 @@ Closures run on integers wherever the scalars allow:
 
 * Offset tables.  A registered module never changes and a slot's action
   tables depend only on (module, barred), so pi(gen) on a key of a word,
-  or its transpose, is a function of (word, gen, key, dual) alone.  Each
-  algebra keeps, per (word, gen, dual), a table from the key's index i in
-  the word's tensor space (lexicographic) to the action encoded for the
-  span kernel, (den, ((dk, num), ...)): image index i + dk, coefficient
-  num / den.  Entries are filled on first lookup, never for the whole
-  space (a length-4 word of a 26-dimensional module has 456,976 keys);
-  weights get a per-word table the same way.
+  or its transpose, is a function of (word, gen, key, dual) alone.  A
+  word's _Space owns its slot data, key indices, generator action and
+  index -> weight table; each (word, gen, dual) has an _ActionTable from
+  a key's index i to the action encoded for the span kernel,
+  (den, ((dk, num), ...)): image index i + dk, coefficient num / den.
+  Both fill entries on first lookup, never for the whole space (a length-4
+  word of a 26-dimensional module has 456,976 keys), and neither refers
+  back to the algebra, so a dropped algebra is freed without the cyclic
+  collector.
 * Radix keys.  A closure over a stack of B blocks keys its rows by
   r = block + B (i_0 + R_0 (i_1 + ...)), i_s the index of the leg-s key
   and R_s the largest leg-s word dimension over the blocks.  With
@@ -212,9 +214,10 @@ def _transpose(cols, dim):
 
 
 class CoordAlgebra:
-    """Registry of module slots, with per-slot action data and per-word
-    tables (shapes, weights, offset tables, Haar data) shared by every
-    check on the algebra.  cap bounds every zero-test closure on it."""
+    """Registry of module slots, with per-slot action data (slot), per-word
+    tensor spaces (space), offset tables and Haar data shared by every
+    check on the algebra; nothing it owns refers back to it.  cap bounds
+    every zero-test closure on it."""
 
     def __init__(self, rs, field, cap=DEFAULT_CAP):
         self.rs = rs
@@ -222,10 +225,9 @@ class CoordAlgebra:
         self.cap = cap
         self.modules: list[HWModule] = []
         self._slots = {}
-        self._haar_cache = {}
-        self._shapes = {}
+        self._spaces = {}
         self._action_tables = {}
-        self._weight_tables = {}
+        self._haar_cache = {}
         self._kernel = kernel(field)
 
     def register(self, m: HWModule) -> int:
@@ -260,46 +262,20 @@ class CoordAlgebra:
         word = ((mid, bool(barred)),)
         return CoordElem(self, ((word, {(i,): one}, {(j,): one}),))
 
-    # -- generator action on keys ----------------------------------------------
-
-    def _gen_action(self, word, gen, key, dual):
-        """pi(gen) applied to the basis vector `key` of the tensor word, or
-        with dual=True the transposed action fun -> fun o pi(gen) on a
-        functional key; returns [(new_key, coeff), ...].  gen: ("E", i) |
-        ("F", i) | ("K", i, e), the last acting as K_i^e.  The coproduct
-        puts K on the slots after an E and K^(-1) on the slots before an F;
-        K is diagonal, so the transpose only swaps the column tables for the
-        row tables."""
-        field = self.field
-        kind = gen[0]
-        slots = [self.slot(*s) for s in word]
-        if kind == "E" or kind == "F":
-            i = gen[1]
-            out = []
-            for j, sd in enumerate(slots):
-                col = sd.tables[kind, dual][i][key[j]]
-                if not col:
-                    continue
-                if kind == "E":
-                    exp = sum(slots[m].kexp[i][key[m]]
-                              for m in range(j + 1, len(word)))
-                else:
-                    exp = -sum(slots[m].kexp[i][key[m]] for m in range(j))
-                f = field.q_power(exp)
-                for l, c in col:
-                    out.append((key[:j] + (l,) + key[j + 1:], c * f))
-            return out
-        if kind != "K":
-            raise ValueError(f"unknown generator {gen}")
-        i, e = gen[1], gen[2]
-        exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
-        return [(key, field.q_power(exp))]
+    def space(self, word) -> _Space:
+        """The tensor space of the word, cached per word."""
+        out = self._spaces.get(word)
+        if out is None:
+            out = self._spaces[word] = _Space(
+                [self.slot(*s) for s in word], self.rs.rank, self.field)
+        return out
 
     def _apply_gen_vec(self, word, gen, vec, dual=False):
         zero = self.field.zero
+        action = self.space(word).action
         out = {}
         for key, c in vec.items():
-            for nk, f in self._gen_action(word, gen, key, dual):
+            for nk, f in action(gen, key, dual):
                 nv = out.get(nk, zero) + c * f
                 if nv:
                     out[nk] = nv
@@ -307,59 +283,14 @@ class CoordAlgebra:
                     out.pop(nk, None)
         return out
 
-    def key_weight(self, word, key):
-        wt = [0] * self.rs.rank
-        for j, slot in enumerate(word):
-            for a, x in enumerate(self.slot(*slot).weights[key[j]]):
-                wt[a] += x
-        return tuple(wt)
-
-    # -- keys as indices -------------------------------------------------------
-
-    def _shape(self, word):
-        """(dims, places) of the word's tensor space, cached per word: the
-        slot dimensions, and the place value of each slot in the
-        lexicographic index sum_j key[j] * places[j] of a key."""
-        shape = self._shapes.get(word)
-        if shape is None:
-            dims = tuple(self.slot(*s).dim for s in word)
-            places = tuple(prod(dims[j + 1:]) for j in range(len(dims)))
-            shape = self._shapes[word] = (dims, places)
-        return shape
-
-    def _key_index(self, word, key):
-        """The index of key in the word's tensor space."""
-        return sum(map(mul, key, self._shape(word)[1]))
-
-    def _index_key(self, word, i):
-        """The key of index i in the word's tensor space."""
-        dims, places = self._shape(word)
-        return tuple(i // p % d for d, p in zip(dims, places))
-
-    def _action_table(self, word, gen, dual):
-        """The lazy table i -> the action of gen on the key of index i of
-        the word (transposed when dual is set), encoded for the span kernel
-        as (den, ((dk, num), ...)): image index i + dk, coefficient
-        num / den.  Cached per (word, gen, dual); see the module
-        docstring."""
+    def _action_table(self, word, gen, dual) -> _ActionTable:
+        """The offset table of gen on the word (transposed when dual is
+        set), cached per (word, gen, dual); see the module docstring."""
         tk = (word, gen, dual)
         table = self._action_tables.get(tk)
         if table is None:
-            encode = self._kernel.encode_action
-
-            def fill(i):
-                key = self._index_key(word, i)
-                return encode([(self._key_index(word, nk) - i, c) for nk, c
-                               in self._gen_action(word, gen, key, dual)])
-            table = self._action_tables[tk] = _LazyTable(fill)
-        return table
-
-    def _weight_table(self, word):
-        """The lazy table i -> weight of the key of index i of the word."""
-        table = self._weight_tables.get(word)
-        if table is None:
-            table = self._weight_tables[word] = _LazyTable(
-                lambda i: self.key_weight(word, self._index_key(word, i)))
+            table = self._action_tables[tk] = _ActionTable(
+                self.space(word), gen, dual, self._kernel.encode_action)
         return table
 
     # -- invariant integral -----------------------------------------------------
@@ -379,12 +310,12 @@ class CoordAlgebra:
                   i for i in range(1, rank + 1)}
         cs = []
         basis = span_basis(self.field)
-        for key in itertools.product(*(range(self.slot(*s).dim)
-                                       for s in word)):
-            i = alphas.get(self.key_weight(word, key))
+        space = self.space(word)
+        for k in map(space.key, range(space.size)):
+            i = alphas.get(space.weight(k))
             if i is None:
                 continue
-            c = self._apply_gen_vec(word, ("F", i), {key: one})
+            c = self._apply_gen_vec(word, ("F", i), {k: one})
             if c:
                 row = self._raising_image(word, c)
                 row[(0, len(cs))] = one
@@ -425,8 +356,8 @@ class CoordAlgebra:
         zero_wt = (0,) * self.rs.rank
         total = field.zero
         for word, fun, vec in elem.terms:
-            t = {k: c for k, c in vec.items()
-                 if self.key_weight(word, k) == zero_wt}
+            weight = self.space(word).weight
+            t = {k: c for k, c in vec.items() if weight(k) == zero_wt}
             if not t:
                 continue
             cs, basis = self._haar_data(word)
@@ -452,7 +383,7 @@ class CoordAlgebra:
         overruns the cap, each of them is tested on its own, so verdicts,
         witnesses and cap overruns are those of one-member calls.
         """
-        if getattr(self.field, "is_classical", False):
+        if self.field.is_classical:
             raise ValueError(
                 "zero tests require symbolic q or rational 0 < q < 1 "
                 "(weight separation fails at q = 1)")
@@ -669,21 +600,20 @@ class _Radix:
     blocks and R_s the largest leg-s word dimension over the blocks, so
     leg s has stride B R_0 ... R_(s-1) and digit r // stride_s % R_s."""
 
-    __slots__ = ("alg", "words", "nb", "radix", "strides")
+    __slots__ = ("words", "spaces", "nb", "radix", "strides")
 
     def __init__(self, alg, words):
-        self.alg = alg
         self.words = words
+        self.spaces = [[alg.space(w) for w in legs] for legs in words]
         self.nb = len(words)
-        self.radix = [max(prod(alg._shape(w[s])[0]) for w in words)
+        self.radix = [max(legs[s].size for legs in self.spaces)
                       for s in range(len(words[0]))]
         self.strides = list(itertools.accumulate(self.radix[:-1], mul,
                                                  initial=self.nb))
 
     def encode(self, block, keys):
-        key_index = self.alg._key_index
-        return block + sum(key_index(w, k) * st for w, k, st in zip(
-            self.words[block], keys, self.strides))
+        return block + sum(sp.index(k) * st for sp, k, st in zip(
+            self.spaces[block], keys, self.strides))
 
     def digits(self, r):
         """(b, (i_0, ..., i_n-1)) of the radix key r."""
@@ -693,21 +623,98 @@ class _Radix:
     def weight(self, r):
         """Per-leg weights of the radix key r."""
         b, ix = self.digits(r)
-        table = self.alg._weight_table
-        return tuple(table(w)[i] for w, i in zip(self.words[b], ix))
+        return tuple(sp[i] for sp, i in zip(self.spaces[b], ix))
 
 
-class _LazyTable(dict):
-    """A dict that fills a missing entry from fill(key) on lookup."""
+class _Space(dict):
+    """The tensor space of a word of module slots: slot data, dims, place
+    values of the lexicographic index sum_j key[j] * places[j], and the
+    generator action; as a dict, index -> weight of its key, filled on
+    lookup."""
 
-    __slots__ = ("_fill",)
+    __slots__ = ("slots", "rank", "field", "dims", "places", "size")
 
-    def __init__(self, fill):
+    def __init__(self, slots, rank, field):
         super().__init__()
-        self._fill = fill
+        self.slots = slots
+        self.rank = rank
+        self.field = field
+        self.dims = tuple(sd.dim for sd in slots)
+        self.places = tuple(prod(self.dims[j + 1:])
+                            for j in range(len(slots)))
+        self.size = prod(self.dims)
 
-    def __missing__(self, key):
-        value = self[key] = self._fill(key)
+    def __missing__(self, i):
+        value = self[i] = self.weight(self.key(i))
+        return value
+
+    def index(self, key):
+        """The index of key in the space."""
+        return sum(map(mul, key, self.places))
+
+    def key(self, i):
+        """The key of index i in the space."""
+        return tuple(i // p % d for d, p in zip(self.dims, self.places))
+
+    def weight(self, key):
+        wt = [0] * self.rank
+        for sd, k in zip(self.slots, key):
+            for a, x in enumerate(sd.weights[k]):
+                wt[a] += x
+        return tuple(wt)
+
+    def action(self, gen, key, dual=False):
+        """pi(gen) applied to the basis vector `key`, or with dual=True the
+        transposed action fun -> fun o pi(gen) on a functional key; returns
+        [(new_key, coeff), ...].  gen: ("E", i) | ("F", i) | ("K", i, e),
+        the last acting as K_i^e.  The coproduct puts K on the slots after
+        an E and K^(-1) on the slots before an F; K is diagonal, so the
+        transpose only swaps the column tables for the row tables."""
+        q_power = self.field.q_power
+        slots = self.slots
+        kind = gen[0]
+        if kind == "E" or kind == "F":
+            i = gen[1]
+            out = []
+            for j, sd in enumerate(slots):
+                col = sd.tables[kind, dual][i][key[j]]
+                if not col:
+                    continue
+                if kind == "E":
+                    exp = sum(slots[m].kexp[i][key[m]]
+                              for m in range(j + 1, len(slots)))
+                else:
+                    exp = -sum(slots[m].kexp[i][key[m]] for m in range(j))
+                f = q_power(exp)
+                for l, c in col:
+                    out.append((key[:j] + (l,) + key[j + 1:], c * f))
+            return out
+        if kind != "K":
+            raise ValueError(f"unknown generator {gen}")
+        i, e = gen[1], gen[2]
+        exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
+        return [(key, q_power(exp))]
+
+
+class _ActionTable(dict):
+    """Offset table of gen on a space (transposed when dual is set): index
+    i -> the encoded action on the key of index i (see the module
+    docstring), filled on lookup."""
+
+    __slots__ = ("space", "gen", "dual", "encode")
+
+    def __init__(self, space, gen, dual, encode):
+        super().__init__()
+        self.space = space
+        self.gen = gen
+        self.dual = dual
+        self.encode = encode
+
+    def __missing__(self, i):
+        space = self.space
+        value = self[i] = self.encode([
+            (space.index(nk) - i, c)
+            for nk, c in space.action(self.gen, space.key(i), self.dual)])
         return value
 
 
@@ -875,7 +882,7 @@ class CoordElem:
         field = alg.field
         out = []
         for w, f, v in self.terms:
-            slots = [alg.slot(*s) for s in w]
+            slots = alg.space(w).slots
 
             def scaled(d):
                 nd = {}

@@ -192,6 +192,8 @@ class HWModule:
                                               combos, norms, by_weight))
         self._cols_E = cols_E
         self._cols_F = cols_F
+        # each recursive closure holds itself in a cell: break the cycles
+        del wt, actE, pair
 
     def _coords(self, img, mu, pair_combo, combos, norms, by_weight):
         if not img:

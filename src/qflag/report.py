@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from qflag import cartan
 from qflag.classical import (ClassicalKahler, classical_context, verify_hkr,
-                             verify_norm_lemma)
+                             verify_kahler_shape, verify_norm_lemma)
 from qflag.coord import DEFAULT_CAP, CapExceeded
 from qflag.flagproj import (flag_context, levi_generators,
                             verify_idempotent, verify_levi_invariance,
@@ -295,7 +295,7 @@ def _q_checks(cfg, rs, par, ctx):
             yield "cocycle", [f"cocycle.{a}.{seed}"], cocycle
 
 
-def _kahler_checks(rs, par, kk):
+def _kahler_checks(par, kk):
     """(phase, names, fn) for the classical block, in report order; kk is
     the getter of its ClassicalKahler."""
     labels = [root_label(gamma) for gamma in par.nil_pos]
@@ -305,16 +305,11 @@ def _kahler_checks(rs, par, kk):
         _eq(*gw) for gw in verify_norm_lemma(kk()).values()]
 
     def matrix():
-        roots, chat, c = kk().kahler_matrix()
-        out = []
-        for i, gamma in enumerate(roots):
-            got = chat[i][i] / c[i]
-            want = Fraction(cartan.form_rw(rs, gamma, kk().ctx.lam))
-            out.append(_result(got == want and chat[i][i] > 0, got, want))
-        bad = [(i, j) for i in range(len(roots)) for j in range(len(roots))
-               if i != j and chat[i][j]]
-        return out + [_bool_result(not bad, "all off-diagonal zero",
-                                   f"nonzero at {bad}", "zero")]
+        _, diag, expected, offdiag = verify_kahler_shape(kk())
+        return [_result(got == want and got > 0, got, want)
+                for got, want in zip(diag, expected)] + [_bool_result(
+                    not offdiag, "all off-diagonal zero",
+                    f"nonzero at {offdiag}", "zero")]
     yield "kahler", [f"kahler.diag.{x}" for x in labels] + \
         ["kahler.offdiag"], matrix
 
@@ -348,7 +343,7 @@ def run_suite(cfg: CaseConfig) -> Report:
         run(qtag, _q_checks(cfg, rs, par, _once(
             lambda field=field: flag_context(cfg.family, cfg.rank,
                                              cfg.subset, field, cfg.cap))))
-    run("classical", _kahler_checks(rs, par, _once(
+    run("classical", _kahler_checks(par, _once(
         lambda: ClassicalKahler(classical_context(cfg.family, cfg.rank,
                                                   cfg.subset, cfg.cap)))))
     return rep

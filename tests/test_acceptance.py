@@ -166,7 +166,7 @@ def test_criterion_7_classical_kahler_matrix():
     }
     for (family, rank, subset), want in expected.items():
         kk = ClassicalKahler(classical_context(family, rank, subset))
-        ok, diag, _ = verify_kahler_shape(kk)
+        ok, diag, _, _ = verify_kahler_shape(kk)
         assert ok, f"{family}{rank} S={subset}: shape broken"
         assert diag == [Fraction(v) for v in want]
         for got, expect in verify_norm_lemma(kk).values():

@@ -86,7 +86,7 @@ def test_f_column_a1(a1):
 ])
 def test_kahler_diagonal_goldens(fix, diag, request):
     kk = request.getfixturevalue(fix)
-    ok, got, expected = verify_kahler_shape(kk)
+    ok, got, expected, _ = verify_kahler_shape(kk)
     assert ok
     assert got == diag == expected
 
@@ -137,7 +137,7 @@ def test_checks_catch_tampering(b2s1):
     kk = ClassicalKahler(classical_context("B", 2, (1,)))
     root = kk.nil_roots[0]
     kk.f[root] = [[2 * x for x in row] for row in kk.f[root]]
-    ok, _, _ = verify_kahler_shape(kk)
+    ok, _, _, _ = verify_kahler_shape(kk)
     assert not ok
     got, want = verify_norm_lemma(kk)[root]
     assert got != want

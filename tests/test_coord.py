@@ -15,7 +15,9 @@ Oracle values used here were computed by hand:
   basis; both are exercised as zero tests below.
 """
 
+import gc
 import itertools
+import weakref
 from random import Random
 
 import pytest
@@ -614,9 +616,9 @@ def test_radix_keys_round_trip_and_are_injective(a2):
             r = codec.encode(b, keys)
             blk, ix = codec.digits(r)
             assert blk == b
-            assert tuple(alg._index_key(w, i)
+            assert tuple(alg.space(w).key(i)
                          for w, i in zip(legs, ix)) == keys
-            assert codec.weight(r) == tuple(alg.key_weight(w, k)
+            assert codec.weight(r) == tuple(alg.space(w).weight(k)
                                             for w, k in zip(legs, keys))
             seen.add(r)
     assert len(seen) == 9 + 9 * 81 + 81
@@ -628,8 +630,9 @@ def test_radix_keys_round_trip_and_are_injective(a2):
 ], ids=["A2-S0-q12", "A1-symbolic"])
 def test_offset_tables_match_gen_action(family, rank, subset, field):
     """Every entry (den, ((dk, num), ...)) of an action table, decoded as
-    the keys of index i + dk with coefficients num / den, is _gen_action
-    on the key of index i, for E and F, on vectors and on functionals."""
+    the keys of index i + dk with coefficients num / den, is the space's
+    action on the key of index i, for E and F, on vectors and on
+    functionals."""
     from qflag.flagproj import flag_context
 
     alg = flag_context(family, rank, subset, field).alg
@@ -641,11 +644,59 @@ def test_offset_tables_match_gen_action(family, rank, subset, field):
                     for i in range(1, rank + 1)]:
             for dual in (False, True):
                 table = alg._action_table(word, gen, dual)
+                space = alg.space(word)
                 for i in range(m.dim ** len(word)):
                     den, pairs = table[i]
-                    got = tuple((alg._index_key(word, i + dk),
+                    got = tuple((space.key(i + dk),
                                  alg._kernel.ratio(num, den))
                                 for dk, num in pairs)
-                    key = alg._index_key(word, i)
-                    assert got == tuple(
-                        alg._gen_action(word, gen, key, dual))
+                    key = space.key(i)
+                    assert got == tuple(space.action(gen, key, dual))
+
+
+# -- freeing without the cyclic collector --------------------------------------
+
+
+@pytest.mark.parametrize("family,rank,subset,q,cap,drop", [
+    ("A", 1, (), None, DEFAULT_CAP, ()),
+    ("A", 2, (2,), Q(1, 2), DEFAULT_CAP, ()),
+    ("A", 2, (), Q(1, 2), DEFAULT_CAP, ("matrixunits",)),
+    ("A", 1, (), None, 2, ()),
+], ids=["A1-symbolic", "A2-S2-q12", "A2-S0-q12-no-munits", "A1-cap2"])
+def test_suites_leave_no_cyclic_garbage(family, rank, subset, q, cap, drop):
+    """A suite run, its report dropped, leaves nothing for the cyclic
+    collector: no algebra, table, module build or context is kept alive by
+    a reference cycle."""
+    from qflag.report import PHASES, CaseConfig, run_suite
+
+    cfg = CaseConfig(family, rank, subset, None if q is None else (q,),
+                     cap=cap,
+                     only=tuple(p for p in PHASES if p not in drop))
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run_suite(cfg)
+        del rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_dropped_context_frees_its_algebra_and_module():
+    """After zero tests have filled its spaces and offset tables, deleting
+    a context frees its algebra and module at once, with the cyclic
+    collector off."""
+    from qflag.flagproj import flag_context, verify_idempotent
+    from qflag.hochschild import verify_cycle
+
+    gc.disable()
+    try:
+        ctx = flag_context("A", 1, (), FixedField(Q(1, 2)))
+        assert all(verify_idempotent(ctx).values())
+        assert verify_cycle(ctx)[0]
+        assert ctx.alg._action_tables
+        refs = [weakref.ref(ctx.alg), weakref.ref(ctx.m)]
+        del ctx
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

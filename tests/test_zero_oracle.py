@@ -35,11 +35,11 @@ def two_sided_closure(alg, sig):
     keyed by (block, key).  Memoized, since consecutive batch members share
     their legs; callers only read the cached rows."""
     field = alg.field
-    words = [w for w, _ in sig]
+    spaces = [alg.space(w) for w, _ in sig]
     by_wt = {}
     for gi, (word, vec_items) in enumerate(sig):
         for key, c in vec_items:
-            blk = by_wt.setdefault(alg.key_weight(word, key), {})
+            blk = by_wt.setdefault(spaces[gi].weight(key), {})
             blk[gi, key] = blk.get((gi, key), field.zero) + c
     basis = span_basis(field)
     queue = []
@@ -56,7 +56,7 @@ def two_sided_closure(alg, sig):
         for gen in gens:
             img = {}
             for (gi, key), c in v.items():
-                for nk, f in alg._gen_action(words[gi], gen, key, False):
+                for nk, f in spaces[gi].action(gen, key, False):
                     img[gi, nk] = img.get((gi, nk), field.zero) + c * f
             r = basis.insert({k: c for k, c in img.items() if c})
             if r is not None:

@@ -1,0 +1,132 @@
+"""Alternating parent/change pairs of the benchmark, with a summary.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --pairs 10 [--seconds 50]
+
+DIR is a checkout of the repository.  Each run removes every __pycache__
+under the checkout's src/, then runs `perfbench/run.py --seconds S` there
+and reads the {"correct": ...} result line of each workload.  Odd pairs
+run the parent first, even pairs the change first, so a drift of the host
+speed over the runs does not favour either side.
+
+For each workload and each end-to-end metric of the change's
+BENCHMARK.json the summary gives the parent median with its quartiles,
+the change median, the change's wins out of the pairs (a tie counts for
+neither side), and the raw (parent, change) values of every pair.  Exits
+1 if any run is not correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+_HEADER = re.compile(r"^(\S+) seed \d+ trace \d+: check_fail_ratio")
+
+
+def parse_results(stdout):
+    """{workload: result dict} from the output of perfbench/run.py: each
+    workload's result line follows its 'NAME seed S trace T:' line."""
+    out = {}
+    name = None
+    for line in stdout.splitlines():
+        m = _HEADER.match(line)
+        if m:
+            name = m.group(1)
+        elif line.startswith('{"correct"') and name is not None:
+            out[name] = json.loads(line)
+            name = None
+    return out
+
+
+def run_once(checkout, seconds):
+    """One benchmark run in the checkout, from cleared bytecode caches."""
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    return parse_results(proc.stdout)
+
+
+def quartiles(xs):
+    """(first quartile, median, third quartile) of xs."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs, end_to_end):
+    """One row per workload and end-to-end metric: (workload, metric,
+    parent quartiles, change median, wins, [(parent, change), ...]).
+    pairs holds (parent results, change results) per pair, as returned by
+    parse_results; end_to_end the BENCHMARK.json entries, whose "better"
+    says which direction wins.  A workload missing from either side of a
+    pair is left out of that pair."""
+    workloads = sorted({w for pair in pairs for runs in pair for w in runs})
+    rows = []
+    for w in workloads:
+        for spec in end_to_end:
+            metric = spec["name"]
+            vals = [(p[w]["metrics"][metric]["value"],
+                     c[w]["metrics"][metric]["value"])
+                    for p, c in pairs if w in p and w in c]
+            if not vals:
+                continue
+            sign = 1 if spec["better"] == "lower" else -1
+            wins = sum(sign * (b - a) < 0 for a, b in vals)
+            rows.append((w, metric, quartiles([a for a, _ in vals]),
+                         statistics.median(b for _, b in vals), wins, vals))
+    return rows
+
+
+def all_correct(pairs):
+    """True iff every run reported every workload, each correct."""
+    return all(runs and all(r["correct"] for r in runs.values())
+               for pair in pairs for runs in pair)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=50)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    pairs = []
+    for n in range(1, args.pairs + 1):
+        order = ("parent", "change") if n % 2 else ("change", "parent")
+        runs = {}
+        for side in order:
+            runs[side] = run_once(getattr(args, side).resolve(), args.seconds)
+            missing = [w for w in names if w not in runs[side]]
+            print(f"pair {n} {side}: " + ", ".join(
+                f"{w} correct {r['correct']}" for w, r in runs[side].items())
+                + (f"; no result for {', '.join(missing)}" if missing
+                   else ""), file=sys.stderr, flush=True)
+            if missing:
+                runs[side] = {}
+        pairs.append((runs["parent"], runs["change"]))
+    for w, metric, (q1, med, q3), cmed, wins, vals in summarize(
+            pairs, spec["end_to_end"]):
+        print(f"{w} {metric}: parent {med:.4g} [{q1:.4g}, {q3:.4g}] -> "
+              f"change {cmed:.4g}, change better in {wins}/{len(vals)}")
+        print("  pairs " + " ".join(f"{a:.4g}/{b:.4g}" for a, b in vals))
+    ok = all_correct(pairs)
+    print("every run correct" if ok else "NOT every run correct")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
