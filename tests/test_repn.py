@@ -3,7 +3,10 @@
 Golden dumps under tests/golden were derived by hand with the pairing
 recursion (F_i u, w) = q^(-(wt w, alpha_i)) (u, E_i w); e.g. for A1, lam = 2:
 N_1 = (Fv, Fv) = q^0 [2] = [2] and N_2 = q^2 [2] N_1 since (wt FFv, alpha) = -2.
-For B2, lam = (0,1) the same recursion gives norms (1, q, q^3, q^4).
+For B2, lam = (0,1) the same recursion gives norms (1, q, q^3, q^4).  The
+B2 (0,1) and G2 (1,0) at q = 1/2 dumps were written by the construction
+itself; they pin its output for non-simply-laced systems, and the B2 norms
+agree with the hand computation above.
 """
 
 import functools
@@ -51,13 +54,15 @@ def _mzero(m):
 
 # -- golden dumps --------------------------------------------------------------
 
-@pytest.mark.parametrize("letter,rank,lam,fname", [
-    ("A", 1, (1,), "module_A1_1_symbolic.txt"),
-    ("A", 1, (2,), "module_A1_2_symbolic.txt"),
-    ("A", 2, (1, 0), "module_A2_10_symbolic.txt"),
+@pytest.mark.parametrize("letter,rank,lam,q,fname", [
+    ("A", 1, (1,), None, "module_A1_1_symbolic.txt"),
+    ("A", 1, (2,), None, "module_A1_2_symbolic.txt"),
+    ("A", 2, (1, 0), None, "module_A2_10_symbolic.txt"),
+    ("B", 2, (0, 1), None, "module_B2_01_symbolic.txt"),
+    ("G", 2, (1, 0), (1, 2), "module_G2_10_q12.txt"),
 ])
-def test_golden_module_dumps(letter, rank, lam, fname):
-    m = _module(letter, rank, lam, None, None)
+def test_golden_module_dumps(letter, rank, lam, q, fname):
+    m = _module(letter, rank, lam, *(q or (None, None)))
     assert module_dump(m) == (GOLDEN / fname).read_text()
 
 
