@@ -57,8 +57,9 @@ _CONFIG_KEYS = ("type", "rank", "subset", "q", "cap", "seed", "out")
 
 def _config_value(key, value):
     """A config value in the form its flag would give: integers for rank,
-    cap and seed (a JSON float or bool is rejected, not truncated), a comma
-    list for a JSON array of subset indices or q values, else a string."""
+    cap and seed (a JSON float or bool is rejected, not truncated), strings
+    for type and out, and for subset and q a string, a number, or a comma
+    list for a JSON array.  Null, booleans and objects are rejected."""
     if key in ("rank", "cap", "seed"):
         if isinstance(value, str):
             try:
@@ -69,9 +70,17 @@ def _config_value(key, value):
             return value
         raise ValueError(f"config key {key!r} must be an integer, "
                          f"got {json.dumps(value)}")
-    if key in ("subset", "q") and isinstance(value, list):
+    if isinstance(value, str):
+        return value
+    if key not in ("subset", "q"):
+        raise ValueError(f"config key {key!r} must be a string, "
+                         f"got {json.dumps(value)}")
+    if isinstance(value, list):
         return ",".join(str(x) for x in value)
-    return str(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"config key {key!r} must be a string, a number or an "
+                     f"array, got {json.dumps(value)}")
 
 
 def _merge_config(args):
@@ -180,7 +189,7 @@ def main(argv=None):
     try:
         _merge_config(args)
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError, CapExceeded) as exc:
+    except (ValueError, OSError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

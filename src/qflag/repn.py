@@ -5,20 +5,24 @@ vector: the contravariant form is computed recursively on words,
 
     (F_i u', w) = q^(-(wt w, alpha_i)) * (u', E_i w),
 
-which is adjointness for the compact star E_i^* = K_i F_i.  Words are
-accepted level by level (lexicographically within a weight space) when they
-enlarge the span, then orthogonalized *without normalizing*: bases here are
-orthogonal with recorded norms N_k (N_0 = 1 at the highest vector), never
-orthonormal, so every matrix identity downstream carries explicit N factors
-instead of square roots and all arithmetic stays rational.
+which is adjointness for the compact star E_i^* = K_i F_i, with E_i on words
+expanded by E_i F_j x = F_j E_i x + delta_ij [ (wt x, alpha_i^vee) ]_{q_i} x.
+Bases are orthogonal with recorded norms N_k (N_0 = 1 at the highest
+vector), never orthonormal, so every matrix identity downstream carries
+explicit N factors instead of square roots and all arithmetic stays rational.
 
-The E_i action on a word is expanded with
-
-    E_i F_j x = F_j E_i x + delta_ij [ (wt x, alpha_i^vee) ]_{q_i} x,
-
-and matrix columns are recovered as form coordinates c_l = (img, b_l)/N_l,
-with the completeness check (img, img) = sum c_l^2 N_l guarding against a
-dropped basis vector.
+One routine projects a vector v onto the basis vectors b_l of one weight:
+coordinates c_l = (v, b_l)/N_l and residual (v, v) - sum c_l^2 N_l.  Words
+are taken level by level, by weight and then lexicographically, and w is
+kept iff its residual is non-zero: by bilinearity that is the norm of the
+new basis vector w - sum c_l b_l.  F_i columns are projections of F_i b_k,
+whose residual must vanish.  E_i columns follow from adjointness,
+(E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l.  Reading it on basis
+vectors needs the form to be symmetric, and E_i b_k to lie in the span of
+the basis modulo the radical; the latter holds as the basis has
+Weyl-dimension many orthogonal vectors of non-zero norm, so spans V(lam).
+An E-side completeness check is thus implied; the tests' commutator and
+Serre checks test E on its own.
 """
 
 from __future__ import annotations
@@ -121,94 +125,71 @@ class HWModule:
                         tot = tot + a * b * p
             return tot
 
-        # BFS over levels, Gram-Schmidt per weight space
-        words = [()]
-        combos = [{(): one}]
-        weights = [self.lam]
-        norms = [one]
-        by_weight = {self.lam: [0]}
-        level = [0]
-        while level:
-            cand = sorted({(i,) + words[k]
-                           for k in level for i in range(1, rank + 1)})
-            groups = {}
-            for w in cand:
-                groups.setdefault(wt(w), []).append(w)
-            nxt = []
-            for mu in sorted(groups):
-                for w in groups[mu]:
-                    combo = {w: one}
-                    for l in by_weight.get(mu, ()):
-                        c = pair_combo({w: one}, combos[l]) / norms[l]
-                        if c:
-                            for w2, b in combos[l].items():
-                                nv = combo.get(w2, zero) - c * b
-                                if nv:
-                                    combo[w2] = nv
-                                else:
-                                    combo.pop(w2, None)
-                    r = pair_combo({w: one}, combo)
-                    if r:
-                        idx = len(words)
-                        words.append(w)
-                        combos.append(combo)
-                        weights.append(mu)
-                        norms.append(r)
-                        by_weight.setdefault(mu, []).append(idx)
-                        nxt.append(idx)
-            level = nxt
+        combos, weights, norms, basis_of = [], [], [], {}
 
-        if len(words) != expected_dim:
+        def project(vec, mu):
+            """((l, c_l) for non-zero c_l = (vec, b_l)/N_l, b_l of weight mu,
+            ascending l), and the residual (vec, vec) - sum c_l^2 N_l."""
+            coords = []
+            residual = pair_combo(vec, vec)
+            for l in basis_of.get(mu, ()):
+                c = pair_combo(vec, combos[l]) / norms[l]
+                if c:
+                    coords.append((l, c))
+                    residual = residual - c * c * norms[l]
+            return tuple(coords), residual
+
+        # BFS over levels, Gram-Schmidt per weight space: a candidate word
+        # is kept iff its residual, the norm of w - sum c_l b_l, is non-zero
+        cand = [()]
+        while cand:
+            kept = []
+            for w in cand:
+                mu = wt(w)
+                coords, r = project({w: one}, mu)
+                if not r:
+                    continue
+                combo = {w: one}
+                for l, c in coords:
+                    for w2, b in combos[l].items():
+                        combo[w2] = combo.get(w2, zero) - c * b
+                basis_of.setdefault(mu, []).append(len(combos))
+                combos.append({x: b for x, b in combo.items() if b})
+                weights.append(mu)
+                norms.append(r)
+                kept.append(w)
+            cand = sorted({(i,) + w for w in kept for i in range(1, rank + 1)},
+                          key=lambda w: (wt(w), w))
+
+        if len(combos) != expected_dim:
             raise AssertionError(
-                f"built {len(words)} basis vectors, Weyl dimension says "
+                f"built {len(combos)} basis vectors, Weyl dimension says "
                 f"{expected_dim}")
         self.dim = expected_dim
-        self.words = words
         self.weights = weights
         self.norms = norms
-        self._by_weight = by_weight
 
-        # action matrices as sparse columns
-        cols_E = {i: [] for i in range(1, rank + 1)}
+        # action matrices as sparse columns: F_i by projection, E_i from F_i
+        # by adjointness, (E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l
+        cols_E = {i: [[] for _ in range(self.dim)] for i in range(1, rank + 1)}
         cols_F = {i: [] for i in range(1, rank + 1)}
-        for k in range(self.dim):
-            for i in range(1, rank + 1):
-                img_f = {(i,) + w: c for w, c in combos[k].items()}
-                mu_f = tuple(a - b for a, b in
-                             zip(weights[k], alpha_fund[i]))
-                cols_F[i].append(self._coords(img_f, mu_f, pair_combo,
-                                              combos, norms, by_weight))
-                img_e = {}
-                for w, c in combos[k].items():
-                    for w2, c2 in actE(i, w).items():
-                        nv = img_e.get(w2, zero) + c * c2
-                        if nv:
-                            img_e[w2] = nv
-                        else:
-                            img_e.pop(w2, None)
-                mu_e = tuple(a + b for a, b in
-                             zip(weights[k], alpha_fund[i]))
-                cols_E[i].append(self._coords(img_e, mu_e, pair_combo,
-                                              combos, norms, by_weight))
-        self._cols_E = cols_E
+        for i in range(1, rank + 1):
+            for l in range(self.dim):
+                img = {(i,) + w: c for w, c in combos[l].items()}
+                mu = tuple(a - b for a, b in zip(weights[l], alpha_fund[i]))
+                col, r = project(img, mu)
+                if r:
+                    raise AssertionError("image left the module span")
+                cols_F[i].append(col)
+                for k, c in col:  # c = (F_i)_kl
+                    cols_E[i][k].append(
+                        (l, field.q_power(self.k_exp(i, k)) * c * norms[k]
+                         / norms[l]))
+        self._cols_E = {i: [tuple(col) for col in cols]
+                        for i, cols in cols_E.items()}
         self._cols_F = cols_F
         # each recursive closure holds itself in a cell: break the cycles
         del wt, actE, pair
-
-    def _coords(self, img, mu, pair_combo, combos, norms, by_weight):
-        if not img:
-            return ()
-        zero = self.field.zero
-        out = []
-        residual = pair_combo(img, img)
-        for l in by_weight.get(mu, ()):
-            c = pair_combo(img, combos[l]) / norms[l]
-            if c:
-                out.append((l, c))
-                residual = residual - c * c * norms[l]
-        if residual:
-            raise AssertionError("image left the module span")
-        return tuple(out)
 
     # -- access ---------------------------------------------------------------
 

@@ -64,6 +64,10 @@ class CaseConfig:
         if not isinstance(self.family, str):
             raise ValueError(f"family must be a string, got {self.family!r}")
         object.__setattr__(self, "family", self.family.upper())
+        for key in ("q_values", "subset", "only"):
+            if isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a tuple, not the string "
+                                 f"{getattr(self, key)!r}")
         for key in ("rank", "cap", "seed"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):

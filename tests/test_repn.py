@@ -55,14 +55,15 @@ def _mzero(m):
 # -- golden dumps --------------------------------------------------------------
 
 @pytest.mark.parametrize("letter,rank,lam,q,fname", [
-    ("A", 1, (1,), None, "module_A1_1_symbolic.txt"),
-    ("A", 1, (2,), None, "module_A1_2_symbolic.txt"),
-    ("A", 2, (1, 0), None, "module_A2_10_symbolic.txt"),
-    ("B", 2, (0, 1), None, "module_B2_01_symbolic.txt"),
-    ("G", 2, (1, 0), (1, 2), "module_G2_10_q12.txt"),
+    ("A", 1, (1,), "symbolic", "module_A1_1_symbolic.txt"),
+    ("A", 1, (2,), "symbolic", "module_A1_2_symbolic.txt"),
+    ("A", 2, (1, 0), "symbolic", "module_A2_10_symbolic.txt"),
+    ("B", 2, (0, 1), "symbolic", "module_B2_01_symbolic.txt"),
+    ("G", 2, (1, 0), "1/2", "module_G2_10_q12.txt"),
 ])
 def test_golden_module_dumps(letter, rank, lam, q, fname):
-    m = _module(letter, rank, lam, *(q or (None, None)))
+    field = SYM if q == "symbolic" else FixedField(Q(q))
+    m = HWModule(cartan.root_system(letter, rank), lam, field)
     assert module_dump(m) == (GOLDEN / fname).read_text()
 
 
@@ -114,7 +115,11 @@ def test_cap_is_enforced_before_building():
 
 def _check_relations(m, serre=True):
     """[E_i, F_j] = delta_ij [<mu, alpha_i^vee>]_{q_i},
-    K-conjugation exponents, star-adjointness, and the Serre relations."""
+    K-conjugation exponents, star-adjointness, and the Serre relations.
+
+    The module derives its E_i columns from F_i by star-adjointness, so
+    that assertion holds by construction and pins only the formula used;
+    the commutator and Serre checks are what test E independently."""
     rs, field = m.rs, m.field
     rank = rs.rank
     E = {i: m.matrix("E", i) for i in range(1, rank + 1)}
@@ -139,7 +144,7 @@ def _check_relations(m, serre=True):
                 for a, c in m.e_col(j, b):
                     assert m.k_exp(i, a) - m.k_exp(i, b) == step
 
-    # adjointness: (E_i)_ab N_a = (K_i F_i)_ba N_b
+    # adjointness: (E_i)_ab N_a = (K_i F_i)_ba N_b, true by construction
     for i in range(1, rank + 1):
         for b in range(m.dim):
             e_entries = dict(m.e_col(i, b))          # a -> (E_i)_ab

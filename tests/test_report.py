@@ -99,11 +99,15 @@ def test_unrunnable_case_rejected(case, message):
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"cap": 2.5}, "cap must be an integer, got 2.5"),
     ({"cap": False}, "cap must be an integer, got False"),
+    ({"q_values": "1/2"}, "q_values must be a tuple, not the string '1/2'"),
+    ({"subset": "2"}, "subset must be a tuple, not the string '2'"),
+    ({"only": "cycle"}, "only must be a tuple, not the string 'cycle'"),
 ])
 def test_inexact_or_mistyped_values_rejected(kwargs, message):
-    """A float q would run at its binary expansion, and a rank, cap or seed
+    """A float q would run at its binary expansion, a rank, cap or seed
     that is not an int (a bool included) would fail later or leak into
-    record names."""
+    record names, and a bare string for q_values, subset or only would be
+    read one character at a time."""
     with pytest.raises(ValueError, match=message):
         CaseConfig(**{"family": "A", "rank": 2, **kwargs})
 
@@ -467,6 +471,25 @@ def test_cli_empty_q_overrides_config(tmp_path, capsys):
     assert main(["rep", "--q", "", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "(q = symbolic)" in out and "(q = 1/2)" not in out
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"out": None}, "config key 'out' must be a string, got null"),
+    ({"out": 5}, "config key 'out' must be a string, got 5"),
+    ({"type": ["A"]}, "config key 'type' must be a string, got [\"A\"]"),
+    ({"q": True}, "config key 'q' must be a string, a number or an array"),
+    ({"subset": {"a": 1}}, "config key 'subset' must be a string, a number"),
+], ids=["null-out", "number-out", "array-type", "bool-q", "object-subset"])
+def test_cli_config_value_of_wrong_json_type(tmp_path, monkeypatch, capsys,
+                                             data, message):
+    """A config value is never stringified into a file name or a family:
+    {"out": null} once wrote the report to a file named None."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({"type": "A", "rank": 1, **data}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):

@@ -1,0 +1,42 @@
+"""tools/same_bytes.py: the item list and the digest comparison, on
+made-up digests."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
+_spec = importlib.util.spec_from_file_location("same_bytes", _PATH)
+sb = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sb)
+
+
+def test_items_cover_every_suite_and_field_once():
+    labels = [label for label, _, _ in sb.items()]
+    assert len(labels) == len(set(labels))
+    assert sum(kind == "suite" for _, kind, _ in sb.items()) == 11
+    assert "suite A2 S={2} q=symbolic cap=9" in labels
+    assert "module G2 10 q=symbolic" in labels
+    assert "module A3 101 q=1/2" in labels
+    assert "module A3 101 q=symbolic" not in labels  # rank 3, |lam| = 2
+
+
+def test_compare_passes_only_equal_digests_on_both_sides():
+    labels = ["a", "b"]
+    lines, ok = sb.compare(labels, {"a": "11", "b": "22"},
+                           {"a": "11", "b": "22"})
+    assert ok
+    assert lines == ["same a: parent 11 change 11",
+                     "same b: parent 22 change 22"]
+    lines, ok = sb.compare(labels, {"a": "11", "b": "22"},
+                           {"a": "11", "b": "23"})
+    assert not ok
+    assert lines[1] == "DIFFERENT b: parent 22 change 23"
+
+
+def test_compare_fails_on_missing_items_and_errors():
+    err = "error ValueError: boom"
+    _, ok = sb.compare(["a"], {"a": "11"}, {})
+    assert not ok
+    lines, ok = sb.compare(["a"], {"a": err}, {"a": err})
+    assert not ok
+    assert lines == [f"DIFFERENT a: parent {err} change {err}"]

@@ -1,0 +1,144 @@
+"""Byte-identity of report bodies and module dumps between two checkouts.
+
+    python3 tools/same_bytes.py --parent DIR --change DIR
+
+DIR is a checkout of the repository.  For each, a fresh python3 with the
+checkout's src/ first on sys.path computes the sha256 of the
+comparison_body of run_suite for every case of SUITES, and of module_dump
+for every highest weight of WEIGHTS over every field of FIELDS (symbolic
+only where the rank is at most 2 or the weight sums to at most 1).  One
+line per item gives both digests.  Exits 1 on any mismatch, or if a run or
+an item failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+# (family, rank, subset, q values or None for symbolic, cap or None)
+SUITES = [
+    ("A", 1, (), None, None),
+    ("A", 2, (2,), None, None),
+    ("A", 1, (1,), None, None),
+    ("A", 3, (2, 3), None, None),
+    ("A", 2, (), ("1/2",), None),
+    ("B", 2, (1,), ("1/2",), None),
+    ("G", 2, (2,), ("1/2",), None),
+    ("A", 2, (1, 2), ("1/2",), None),
+    ("C", 2, (1,), ("2/3",), None),
+    ("A", 1, (), None, 2),
+    ("A", 2, (2,), None, 9),
+]
+
+WEIGHTS = [
+    ("A", 1, (1,)), ("A", 1, (3,)), ("A", 1, (4,)),
+    ("A", 2, (1, 0)), ("A", 2, (0, 1)), ("A", 2, (1, 1)), ("A", 2, (2, 1)),
+    ("A", 2, (2, 0)),
+    ("B", 2, (1, 1)), ("B", 2, (0, 1)), ("B", 2, (1, 0)),
+    ("C", 2, (1, 1)), ("C", 2, (1, 0)),
+    ("G", 2, (1, 0)), ("G", 2, (0, 1)), ("G", 2, (1, 1)),
+    ("A", 3, (1, 0, 1)), ("A", 3, (0, 1, 1)), ("A", 3, (1, 0, 0)),
+    ("B", 3, (0, 0, 1)), ("B", 3, (1, 0, 1)),
+    ("C", 3, (0, 1, 0)),
+    ("D", 4, (0, 1, 0, 0)), ("D", 4, (1, 0, 0, 1)),
+    ("F", 4, (0, 0, 0, 1)),
+    ("A", 4, (0, 1, 1, 0)),
+]
+
+FIELDS = ("symbolic", "1/2", "2/3", "1")
+
+_CHILD = r"""
+import hashlib, json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from qflag import cartan
+from qflag.qscalar import FixedField, SymbolicField
+from qflag.repn import hw_module, module_dump
+from qflag.report import CaseConfig, comparison_body, run_suite
+
+def text(kind, args):
+    if kind == "suite":
+        family, rank, subset, qs, cap = args
+        cfg = CaseConfig(family, rank, tuple(subset),
+                         q_values=None if qs is None else tuple(qs),
+                         **({} if cap is None else {"cap": cap}))
+        return json.dumps(comparison_body(run_suite(cfg).as_dict()),
+                          indent=2)
+    family, rank, lam, q = args
+    field = SymbolicField() if q == "symbolic" else FixedField(Fraction(q))
+    return module_dump(hw_module(cartan.root_system(family, rank),
+                                 tuple(lam), field))
+
+for label, kind, args in json.load(sys.stdin):
+    try:
+        out = hashlib.sha256(text(kind, args).encode()).hexdigest()
+    except Exception as exc:
+        traceback.print_exc()
+        out = f"error {type(exc).__name__}: {exc}"
+    print(json.dumps([label, out]), flush=True)
+"""
+
+
+def items():
+    """[(label, kind, args)] for every suite and module dump compared."""
+    out = []
+    for family, rank, subset, qs, cap in SUITES:
+        label = (f"suite {family}{rank} S={{{','.join(map(str, subset))}}} "
+                 f"q={'symbolic' if qs is None else ','.join(qs)}"
+                 + ("" if cap is None else f" cap={cap}"))
+        out.append((label, "suite", [family, rank, subset, qs, cap]))
+    for family, rank, lam in WEIGHTS:
+        for q in FIELDS:
+            if q == "symbolic" and rank > 2 and sum(lam) > 1:
+                continue
+            label = f"module {family}{rank} {''.join(map(str, lam))} q={q}"
+            out.append((label, "module", [family, rank, lam, q]))
+    return out
+
+
+def digests(checkout, todo):
+    """{label: sha256 or 'error ...'} from one fresh interpreter in the
+    checkout, whose tracebacks go to stderr; labels it did not reach are
+    missing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(checkout / "src")], cwd=checkout,
+        input=json.dumps(todo), capture_output=True, text=True)
+    if proc.returncode or proc.stderr:
+        print(f"run in {checkout} exited {proc.returncode}:\n"
+              f"{proc.stderr}", file=sys.stderr)
+    return dict(json.loads(line) for line in proc.stdout.splitlines())
+
+
+def compare(labels, parent, change):
+    """([line per label], ok): ok iff every label has the same digest on
+    both sides, and neither is missing or an error."""
+    lines, ok = [], True
+    for label in labels:
+        a, b = parent.get(label, "missing"), change.get(label, "missing")
+        same = a == b and a != "missing" and not a.startswith("error")
+        ok = ok and same
+        lines.append(f"{'same' if same else 'DIFFERENT'} {label}: "
+                     f"parent {a} change {b}")
+    return lines, ok
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    args = ap.parse_args(argv)
+    todo = items()
+    parent = digests(args.parent.resolve(), todo)
+    change = digests(args.change.resolve(), todo)
+    lines, ok = compare([label for label, _, _ in todo], parent, change)
+    print("\n".join(lines))
+    print("every item the same" if ok else "NOT every item the same")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
