@@ -483,7 +483,7 @@ def test_cli_empty_q_overrides_config(tmp_path, capsys):
 def test_cli_config_value_of_wrong_json_type(tmp_path, monkeypatch, capsys,
                                              data, message):
     """A config value is never stringified into a file name or a family:
-    {"out": null} once wrote the report to a file named None."""
+    {"out": null} must not write the report to a file named None."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "case.json"
     cfg.write_text(json.dumps({"type": "A", "rank": 1, **data}))
