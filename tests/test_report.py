@@ -314,6 +314,7 @@ def test_point_case_passes(family, rank, subset, q_values):
     ("a1_symbolic", CaseConfig("A", 1)),
     ("a2_s2_q12", CaseConfig("A", 2, (2,), q_values=("1/2",))),
     ("a2_s2_symbolic", CaseConfig("A", 2, (2,))),
+    ("g2_s2_q12", CaseConfig("G", 2, (2,), q_values=("1/2",))),
 ])
 def test_golden_report(name, cfg):
     got = comparison_body(run_suite(cfg).as_dict())
