@@ -41,10 +41,6 @@ def _commutator(A, B):
              for j in range(n)] for i in range(n)]
 
 
-def _is_zero_matrix(A):
-    return all(not x for row in A for x in row)
-
-
 class ClassicalKahler:
     """Root vectors, adjoints, and the origin Gram data for one parabolic."""
 
@@ -63,24 +59,21 @@ class ClassicalKahler:
         nil = set(self.nil_roots)
 
         # simple raising operators as dense matrices
-        e = {cartan.simple_root(rs, i): m.matrix("E", i)
-             for i in range(1, rs.rank + 1)}
-        # bracket recursion in height order (faithful module: a nonzero root
-        # vector stays nonzero)
+        simple = [cartan.simple_root(rs, i) for i in range(1, rs.rank + 1)]
+        e = {a: m.matrix("E", i) for i, a in enumerate(simple, start=1)}
+        # bracket recursion in height order, through the first simple alpha
+        # with gamma - alpha a positive root: [g_alpha, g_gamma-alpha] =
+        # g_gamma and the module is faithful, so the bracket is nonzero (on
+        # the trivial module every bracket is zero, and the normalization
+        # below catches a zero root vector of a non-Levi root)
         for gamma in rs.pos_roots:
             if gamma in e:
                 continue
-            built = None
-            for i in range(1, rs.rank + 1):
-                alpha = cartan.simple_root(rs, i)
+            for alpha in simple:
                 rest = tuple(g - a for g, a in zip(gamma, alpha))
                 if rest in e:
-                    built = _commutator(e[alpha], e[rest])
-                    if not _is_zero_matrix(built):
-                        break
-            if _is_zero_matrix(built) and gamma in nil:
-                raise AssertionError(f"no nonzero bracket reaches {gamma}")
-            e[gamma] = built
+                    e[gamma] = _commutator(e[alpha], e[rest])
+                    break
         self.e = e
 
         # adjoints with respect to the diagonal form with weights N_k
@@ -119,46 +112,27 @@ class ClassicalKahler:
 
     # -- Gram data at the origin ---------------------------------------------
 
-    def f_column(self, gamma):
-        """f_gamma applied to the highest vector, as a sparse column."""
-        col = {}
-        for l in range(self.ctx.dim):
-            v = self.f[gamma][l][0]
-            if v:
-                col[l] = v
-        return col
-
-    def gram_entry(self, alpha, beta):
-        """(f_beta v0, f_alpha v0) in the orthogonal-basis form."""
-        N = self.ctx.m.norms
-        a = self.f_column(alpha)
-        b = self.f_column(beta)
-        tot = Fraction(0)
-        for l, va in a.items():
-            vb = b.get(l)
-            if vb is not None:
-                tot += N[l] * va * vb
-        return tot
-
     def kahler_matrix(self):
-        """(roots, chat, c): the origin Gram matrix over the non-Levi
-        positive roots and the per-root normalizations."""
+        """(roots, chat, c): the origin Gram matrix chat[alpha][beta] =
+        (f_beta v0, f_alpha v0) = sum_l N_l f_alpha[l][0] f_beta[l][0] over
+        the non-Levi positive roots, computed from self.f on each call, and
+        the per-root normalizations."""
         roots = self.nil_roots
-        chat = [[self.gram_entry(a, b) for b in roots] for a in roots]
+        N = self.ctx.m.norms
+        cols = [[self.f[a][l][0] for l in range(self.ctx.dim)] for a in roots]
+        chat = [[sum((n * x * y for n, x, y in zip(N, ca, cb) if x and y),
+                     Fraction(0)) for cb in cols] for ca in cols]
         c = [self.c[a] for a in roots]
         return roots, chat, c
 
 
 def verify_norm_lemma(kk: ClassicalKahler):
-    """(f_gamma v0, f_gamma v0) = c_gamma (rho_S, gamma) per non-Levi root.
-    Returns {root: (got, want)}."""
-    ctx = kk.ctx
-    out = {}
-    for gamma in kk.nil_roots:
-        got = kk.gram_entry(gamma, gamma)
-        want = kk.c[gamma] * cartan.form_rw(ctx.rs, gamma, ctx.lam)
-        out[gamma] = (got, want)
-    return out
+    """(f_gamma v0, f_gamma v0) = c_gamma (rho_S, gamma) per non-Levi root,
+    from the diagonal of the Gram matrix.  Returns {root: (got, want)}."""
+    rs, lam = kk.ctx.rs, kk.ctx.lam
+    roots, chat, c = kk.kahler_matrix()
+    return {g: (chat[k][k], c[k] * cartan.form_rw(rs, g, lam))
+            for k, g in enumerate(roots)}
 
 
 def verify_kahler_shape(kk: ClassicalKahler):
@@ -186,7 +160,7 @@ def _leg_derivative(leg, mat_plain, mat_conj):
     tot = Fraction(0)
     for word, fun, vec in leg.terms:
         for key, cv in vec.items():
-            for j, (mid, barred) in enumerate(word):
+            for j, barred in enumerate(word):
                 mat = mat_conj if barred else mat_plain
                 kj = key[j]
                 for l in range(len(mat)):

@@ -2,8 +2,8 @@
 
 An element is a sum of primitive terms (word, fun, vec):
 
-* word -- a tensor word of registered module slots, each slot a pair
-  (module id, conjugated?),
+* word -- a tensor word of slots of the algebra's module, each slot its
+  conjugation flag (True for a conjugated slot),
 * vec  -- a sparse vector in the word's tensor space (dict key -> scalar,
   keys are index tuples, one index per slot),
 * fun  -- a sparse functional on the same space.
@@ -93,8 +93,8 @@ with the weight components of every f_t in member order:
 
 Closures run on integers wherever the scalars allow:
 
-* Offset tables.  A registered module never changes and a slot's action
-  tables depend only on (module, barred), so pi(gen) on a key of a word,
+* Offset tables.  The algebra's module never changes and a slot's action
+  tables depend only on its conjugation flag, so pi(gen) on a key of a word,
   or its transpose, is a function of (word, gen, key, dual) alone.  A
   word's _Space owns its slot data, key indices, generator action and
   index -> weight table; each (word, gen, dual) has an _ActionTable from
@@ -136,6 +136,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from math import prod
 from operator import add, mul
@@ -173,12 +174,13 @@ class ZeroCertificate:
 
 
 class _SlotData:
-    """Action data for one (module, conjugated) slot.  tables[gen, dual][i]
+    """Action data for a slot of m, conjugated if barred.  tables[gen, dual][i]
     lists, per basis index, the action of gen_i (gen "E" or "F"): its
     columns act on vectors (dual False), its rows, the transpose, on
     functionals (dual True)."""
 
-    def __init__(self, m: HWModule, barred: bool, rs):
+    def __init__(self, m: HWModule, barred: bool):
+        rs = m.rs
         rank = rs.rank
         sgn = -1 if barred else 1
         self.dim = m.dim
@@ -214,37 +216,22 @@ def _transpose(cols, dim):
 
 
 class CoordAlgebra:
-    """Registry of module slots, with per-slot action data (slot), per-word
-    tensor spaces (space), offset tables and Haar data shared by every
-    check on the algebra; nothing it owns refers back to it.  cap bounds
-    every zero-test closure on it."""
+    """The matrix coefficients of one module m and of its conjugate, with
+    the action data of the plain and the conjugated slot (slots[barred]),
+    per-word tensor spaces (space), offset tables and Haar data shared by
+    every check on the algebra; nothing it owns refers back to it.  cap
+    bounds every zero-test closure on it."""
 
-    def __init__(self, rs, field, cap=DEFAULT_CAP):
-        self.rs = rs
-        self.field = field
+    def __init__(self, m: HWModule, cap=DEFAULT_CAP):
+        self.m = m
+        self.rs = m.rs
+        self.field = m.field
         self.cap = cap
-        self.modules: list[HWModule] = []
-        self._slots = {}
+        self.slots = (_SlotData(m, False), _SlotData(m, True))
         self._spaces = {}
         self._action_tables = {}
         self._haar_cache = {}
-        self._kernel = kernel(field)
-
-    def register(self, m: HWModule) -> int:
-        if m.rs is not self.rs and m.rs != self.rs:
-            raise ValueError("module belongs to a different root system")
-        if m.field is not self.field:
-            raise ValueError("module built over a different scalar field")
-        self.modules.append(m)
-        return len(self.modules) - 1
-
-    def slot(self, mid, barred) -> _SlotData:
-        key = (mid, bool(barred))
-        out = self._slots.get(key)
-        if out is None:
-            out = _SlotData(self.modules[mid], barred, self.rs)
-            self._slots[key] = out
-        return out
+        self._kernel = kernel(m.field)
 
     # -- elements -------------------------------------------------------------
 
@@ -255,11 +242,11 @@ class CoordAlgebra:
     def zero(self):
         return CoordElem(self, ())
 
-    def mc(self, mid, i, j, barred=False):
-        """The matrix coefficient sending X to (pi(X))_ij on the (possibly
-        conjugated) module mid; basis indices are 0-based."""
+    def mc(self, i, j, barred=False):
+        """The matrix coefficient sending X to (pi(X))_ij on the module, or
+        on its conjugate if barred; basis indices are 0-based."""
         one = self.field.one
-        word = ((mid, bool(barred)),)
+        word = (bool(barred),)
         return CoordElem(self, ((word, {(i,): one}, {(j,): one}),))
 
     def space(self, word) -> _Space:
@@ -267,7 +254,7 @@ class CoordAlgebra:
         out = self._spaces.get(word)
         if out is None:
             out = self._spaces[word] = _Space(
-                [self.slot(*s) for s in word], self.rs.rank, self.field)
+                [self.slots[b] for b in word], self.rs.rank, self.field)
         return out
 
     def _apply_gen_vec(self, word, gen, vec, dual=False):
@@ -753,10 +740,14 @@ class CoordElem:
     # -- ring structure ---------------------------------------------------------
 
     def _scalar(self, x):
-        from fractions import Fraction
+        """x as a scalar of the algebra's field; an inexact or foreign
+        scalar raises TypeError."""
+        field = self.alg.field
         if isinstance(x, (int, Fraction)):
-            return self.alg.field.from_fraction(x)
-        return x
+            return field.from_fraction(x)
+        if isinstance(x, type(field.zero)):
+            return x
+        raise TypeError(f"scalar {x!r} is not exact in {field!r}")
 
     def __add__(self, other):
         if isinstance(other, CoordElem):
@@ -849,7 +840,7 @@ class CoordElem:
     def star(self):
         out = []
         for w, f, v in self.terms:
-            nw = tuple((mid, not barred) for mid, barred in reversed(w))
+            nw = tuple(not barred for barred in reversed(w))
             nf = {tuple(reversed(k)): c for k, c in f.items()}
             nv = {tuple(reversed(k)): c for k, c in v.items()}
             out.append((nw, nf, nv))

@@ -53,9 +53,8 @@ class FlagContext:
         self.S = self.par.S
         self.field = field
         self.lam = self.par.rho_S
-        self.alg = CoordAlgebra(rs, field, cap)
         self.m = hw_module(rs, self.lam, field, cap=cap)
-        self.mid = self.alg.register(self.m)
+        self.alg = CoordAlgebra(self.m, cap)
         self.dim = self.m.dim
         self.norms = self.m.norms
         two_rho = cartan.two_rho_root(rs)
@@ -65,9 +64,6 @@ class FlagContext:
         self._cores = {}
 
     # -- generators -------------------------------------------------------------
-
-    def coeff(self, i, j, barred=False):
-        return self.alg.mc(self.mid, i, j, barred)
 
     def phat(self, i, j):
         return self.munit(0, 0, i, j)
@@ -79,7 +75,7 @@ class FlagContext:
         core = self._cores.get(key)
         if core is None:
             core = self._cores[key] = (
-                self.coeff(i, b) * self.coeff(j, a, barred=True))
+                self.alg.mc(i, b) * self.alg.mc(j, a, barred=True))
         return core
 
 

@@ -141,7 +141,7 @@ def test_criterion_6_modular_property_all_64_pairs():
     pool = []
     for i in range(2):
         for j in range(2):
-            mc = alg.mc(ctx.mid, i, j)
+            mc = alg.mc(i, j)
             pool.append(mc)
             pool.append(mc.star())
     assert len(pool) == 8

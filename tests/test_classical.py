@@ -74,10 +74,6 @@ def test_nil_roots_enumeration(a2s2, b2s1):
     assert b2s1.nil_roots == [(0, 1), (1, 1), (1, 2)]
 
 
-def test_f_column_a1(a1):
-    assert a1.f_column((1,)) == {1: F(1)}
-
-
 @pytest.mark.parametrize("fix,diag", [
     ("a1", [F(1)]),
     ("a2s2", [F(1), F(1)]),

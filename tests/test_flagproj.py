@@ -234,6 +234,6 @@ def test_memoized_cores_survive_every_check():
     for (a, b, i, j), core in cores.items():
         assert ctx.munit(a, b, i, j) is core
         assert (core.canonical(), _raw_terms(core)) == before[a, b, i, j]
-        fresh = ctx.coeff(i, b) * ctx.coeff(j, a, barred=True)
+        fresh = ctx.alg.mc(i, b) * ctx.alg.mc(j, a, barred=True)
         assert core.canonical() == fresh.canonical()
         assert _raw_terms(core) == _raw_terms(fresh)

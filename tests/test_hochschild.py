@@ -71,7 +71,7 @@ def test_boundary_degree_two_structure(a1):
 
 
 def test_boundary_identity_twist_differs(a1):
-    x, y = a1.coeff(0, 0), a1.coeff(1, 1)
+    x, y = a1.alg.mc(0, 0), a1.alg.mc(1, 1)
     ch = hh.Chain(a1.alg, 1, [(a1.field.one, (x, y))])
     assert hh.twisted_boundary(ch, "theta").canonical() != \
         hh.twisted_boundary(ch, "identity").canonical()
@@ -275,7 +275,7 @@ def test_cocycle_fails_outside_core_subalgebra(a1):
     chain of raw matrix coefficients (nonzero-weight vector legs) breaks it,
     for both twists.  This pins the domain rather than asserting a global
     identity that does not hold."""
-    c = a1.coeff
+    c = a1.alg.mc
     w = hh.Chain(a1.alg, 3, [(a1.field.one,
                               (c(0, 0), c(1, 0), c(0, 1), c(1, 1)))])
     q = a1.field.q_power

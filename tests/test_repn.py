@@ -224,6 +224,15 @@ def test_relations_randomized(case, qv):
     _check_relations(m, serre=(m.dim <= 8))
 
 
-def test_rejects_non_dominant():
-    with pytest.raises(ValueError):
-        HWModule(cartan.root_system("A", 1), (-1,), SYM)
+@pytest.mark.parametrize("rank,lam,message", [
+    (1, (-1,), "not dominant"),
+    (2, (1, 0, 0), "needs 2 integer entries"),
+    (2, (1,), "needs 2 integer entries"),
+    (2, (1.7, 0), "needs 2 integer entries"),
+    (2, (True, 0), "needs 2 integer entries"),
+], ids=["negative", "too-long", "too-short", "float", "bool"])
+def test_rejects_non_dominant(rank, lam, message):
+    """A highest weight must be rank non-negative integers; a bool, a float
+    or a wrong length is refused, not truncated or read as an integer."""
+    with pytest.raises(ValueError, match=message):
+        HWModule(cartan.root_system("A", rank), lam, SYM)

@@ -171,7 +171,7 @@ def _zero_elem(rng, ctx):
             + _coeff(rng, F) * _product_law(rng, ctx)
     if kind == 1:
         n = ctx.dim
-        return _product_law(rng, ctx) * ctx.coeff(
+        return _product_law(rng, ctx) * ctx.alg.mc(
             rng.randrange(n), rng.randrange(n), rng.random() < 0.5)
     if kind == 2:
         return _product_law(rng, ctx).act_right(
