@@ -67,6 +67,10 @@ def _symmetrizers(letter, rank):
 
 
 def root_system(letter: str, rank: int) -> RootSystem:
+    if not isinstance(letter, str):
+        raise ValueError(f"family must be a string, got {letter!r}")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     letter = letter.upper()
     if rank > 4:
         raise ValueError(
@@ -226,7 +230,13 @@ class Parabolic:
 
 
 def parabolic(rs: RootSystem, S) -> Parabolic:
-    S = tuple(sorted(set(S)))
+    """Parabolic data of the marked simple roots S (distinct int indices)."""
+    for i in S:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValueError(f"subset indices must be integers, got {i!r}")
+    S = tuple(sorted(S))
+    if len(set(S)) != len(S):
+        raise ValueError(f"subset repeats: {', '.join(map(str, S))}")
     if any(i < 1 or i > rs.rank for i in S):
         raise ValueError(f"subset {S} out of range for {rs.name}")
     sset = set(S)

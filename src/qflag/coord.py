@@ -421,7 +421,9 @@ class CoordAlgebra:
     def _group_terms(self, tensor_terms):
         """Aggregate a tensor sum by (words, vector legs): returns the sorted
         group keys (the stacked vector legs) and {key: {fkeys: coeff}}, or
-        ((), None) when every functional cancels."""
+        ((), None) when every functional cancels.  The zero tests stack
+        these groups, and CoordElem.canonical reads its normal form off
+        them."""
         zero = self.field.zero
         nsides = None
         groups = {}
@@ -787,46 +789,31 @@ class CoordElem:
             (w, {k: c * x for k, x in f.items()}, v)
             for w, f, v in self.terms))
 
-    def simplify(self):
-        """Merge terms sharing (word, vector leg); drop zeros.  Vector legs
-        are normalized (leading coefficient 1, the factor moved into the
-        functional leg) so proportional legs merge and the result does not
-        depend on how scalars were split across the two legs."""
-        zero = self.alg.field.zero
-        merged = {}
+    def canonical(self):
+        """Hashable normal form: one (word, functional items, vector items)
+        per group of CoordAlgebra._group_terms.  Vector legs are normalized
+        first (leading coefficient 1, the factor moved into the functional
+        leg) so proportional legs merge and the form does not depend on how
+        scalars were split across the two legs.  Scalars are stringified;
+        exact because the scalar string form is canonical."""
+        one = self.alg.field.one
+        terms = []
         for w, f, v in self.terms:
             v = {k: c for k, c in v.items() if c}
-            f = {k: c for k, c in f.items() if c}
-            if not v or not f:
+            if not v:
                 continue
             lead = v[min(v)]
-            if lead != self.alg.field.one:
+            if lead != one:
                 v = {k: c / lead for k, c in v.items()}
                 f = {k: c * lead for k, c in f.items()}
-            key = (w, _canon_vec(v))
-            g = merged.setdefault(key, {})
-            for k, c in f.items():
-                nv = g.get(k, zero) + c
-                if nv:
-                    g[k] = nv
-                else:
-                    g.pop(k, None)
-        out = []
-        for (w, vitems), f in sorted(merged.items(),
-                                     key=lambda kv: _term_sort_key(kv[0])):
-            if f:
-                out.append((w, f, dict(vitems)))
-        return CoordElem(self.alg, out)
-
-    def canonical(self):
-        """Hashable canonical form (scalars stringified; exact because the
-        scalar string form is canonical)."""
-        out = []
-        for w, f, v in self.simplify().terms:
-            out.append((w,
-                        tuple(sorted((k, str(c)) for k, c in f.items())),
-                        tuple(sorted((k, str(c)) for k, c in v.items()))))
-        return tuple(out)
+            terms.append((w, f, v))
+        order, groups = self.alg._group_terms(
+            [(one, (CoordElem(self.alg, terms),))])
+        return tuple(
+            (words[0], tuple(sorted(
+                (k, str(c)) for (k,), c in groups[words, vecs].items())),
+             tuple((k, str(c)) for k, c in vecs[0]))
+            for words, vecs in order)
 
     # -- coalgebra-ish operations -------------------------------------------------
 
@@ -903,8 +890,3 @@ def _outer(a, b):
         for kb, cb in b.items():
             out[ka + kb] = ca * cb
     return out
-
-
-def _term_sort_key(key):
-    w, vitems = key
-    return (w, tuple((k, str(c)) for k, c in vitems))

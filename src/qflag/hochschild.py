@@ -201,13 +201,13 @@ def verify_pairing(ctx: FlagContext, a):
 # -- randomized cocycle samples ------------------------------------------------------
 
 
-def random_chain(ctx: FlagContext, degree, seed, nterms=2) -> Chain:
-    """Deterministic pseudo-random chain whose legs are products of
+def random_chain(ctx: FlagContext, degree, seed) -> Chain:
+    """Deterministic pseudo-random two-term chain; its legs are products of
     projection cores (the natural test vectors for the cocycle property)."""
     rng = Random(seed)
     F = ctx.field
     terms = []
-    for _ in range(nterms):
+    for _ in range(2):
         coeff = F.q_power(rng.randint(-2, 2)) * \
             F.from_fraction(rng.randint(1, 3))
         legs = []

@@ -415,6 +415,8 @@ class FixedField:
     one = Q(1)
 
     def __init__(self, q0):
+        if not isinstance(q0, (int, Fraction)) or isinstance(q0, bool):
+            raise TypeError(f"q must be an int or a Fraction, got {q0!r}")
         q0 = Q(q0)
         if not (0 < q0 <= 1):
             raise ValueError(f"q must lie in (0, 1], got {q0}")
@@ -426,9 +428,11 @@ class FixedField:
         return Q(r)
 
     def q_power(self, e):
-        if isinstance(e, Fraction) and e.denominator != 1:
-            raise ValueError(f"q^{e}: half-integer powers need symbolic mode")
-        return self.q0 ** int(e)
+        if type(e) is not int:
+            if e != int(e):
+                raise ValueError(f"q^{e}: fractional powers need symbolic mode")
+            e = int(e)
+        return self.q0 ** e
 
     def q_int(self, n, d=1):
         if n < 0:

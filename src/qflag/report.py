@@ -61,14 +61,13 @@ class CaseConfig:
     only: tuple | None = None  # PHASES subset, in PHASES order; None = all
 
     def __post_init__(self):
-        if not isinstance(self.family, str):
-            raise ValueError(f"family must be a string, got {self.family!r}")
-        object.__setattr__(self, "family", self.family.upper())
+        rs = cartan.root_system(self.family, self.rank)
+        object.__setattr__(self, "family", rs.letter)
         for key in ("q_values", "subset", "only"):
             if isinstance(getattr(self, key), str):
                 raise ValueError(f"{key} must be a tuple, not the string "
                                  f"{getattr(self, key)!r}")
-        for key in ("rank", "cap", "seed"):
+        for key in ("cap", "seed"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -86,14 +85,7 @@ class CaseConfig:
             if len(set(qs)) != len(qs):
                 raise ValueError(f"q values repeat: {', '.join(map(str, qs))}")
             object.__setattr__(self, "q_values", qs)
-        for i in self.subset:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise ValueError(f"subset indices must be integers, got {i!r}")
-        subset = tuple(sorted(self.subset))
-        if len(set(subset)) != len(subset):
-            raise ValueError(f"subset repeats: {', '.join(map(str, subset))}")
-        object.__setattr__(self, "subset", subset)
-        cartan.parabolic(cartan.root_system(self.family, self.rank), subset)
+        object.__setattr__(self, "subset", cartan.parabolic(rs, self.subset).S)
         if self.only is not None:
             for p in self.only:
                 if p not in PHASES:

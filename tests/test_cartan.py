@@ -205,3 +205,14 @@ def test_unsupported_systems_are_rejected():
             cartan.root_system(*bad)
     with pytest.raises(ValueError):
         cartan.parabolic(cartan.root_system("A", 2), [3])
+    for bad, message in [(("A", 2.0), "rank must be an integer, got 2.0"),
+                         (("A", True), "rank must be an integer, got True"),
+                         ((1, 1), "family must be a string, got 1")]:
+        with pytest.raises(ValueError, match=message):
+            cartan.root_system(*bad)
+    a2 = cartan.root_system("A", 2)
+    for bad, message in [((1.5,), "subset indices must be integers, got 1.5"),
+                         ((True,), "subset indices must be integers, got True"),
+                         ((2, 2), "subset repeats: 2, 2")]:
+        with pytest.raises(ValueError, match=message):
+            cartan.parabolic(a2, bad)

@@ -119,7 +119,7 @@ def test_normalize_kills_counit_legs(a1):
     ch = hh.Chain(a1.alg, 1, [(a1.field.one, (a1.phat(0, 0), one))])
     n = hh.normalize(ch)
     # second leg became 1 - eps(1) 1 = 0
-    assert all(legs[1].simplify().terms == () for _, legs in n.terms)
+    assert all(legs[1].canonical() == () for _, legs in n.terms)
     # leg 0 is never normalized
     assert all(legs[0].canonical() == a1.phat(0, 0).canonical()
                for _, legs in n.terms)

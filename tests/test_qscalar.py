@@ -212,7 +212,15 @@ def test_fixed_field_domain():
         FixedField(Q(3, 2))
     with pytest.raises(ValueError):
         FixedField(0)
-    assert FixedField(Q(1, 2)).q_power(-2) == 4
+    for q0 in (0.5, 0.1, "1/2", True):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            FixedField(q0)
+    half = FixedField(Q(1, 2))
+    assert half.q_power(-2) == 4
+    assert half.q_power(Q(4, 2)) == half.q_power(2.0) == Q(1, 4)
+    for e in (1.5, 2.9, Q(1, 2)):
+        with pytest.raises(ValueError, match="fractional powers"):
+            half.q_power(e)
     assert classical_field().is_classical
 
 
