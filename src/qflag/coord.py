@@ -70,26 +70,41 @@ algebra's (CoordAlgebra.cap), fixed when the algebra is built.
 
 Batches.  Entrywise families of identities (the (i, j) entries of one
 matrix-unit product, all entries of P^2 = P) share their stacked vector
-legs and differ only in the functional.  batch_zero_test therefore closes
-the functionals f_1, ..., f_m of all members with the same signature (the
-sorted (words, vector legs) group keys) in one lowering closure, seeded
-with the weight components of every f_t in member order:
+legs and differ only in the functional, and one entry's functional is
+often shared by other families (for a != d the (i, j) functional of the
+product law of (a, b, c, d) does not depend on (a, b, c, d)).
+batch_zero_test therefore groups its members twice.  A family is the
+members with the same signature (the sorted (words, vector legs) group
+keys); families go together when they have the same block words and the
+same member functionals F_1, ..., F_m in the same order.  A group of
+families phi, with stacked legs V_phi, is tested in one pass: the raising
+closure W of each leg is seeded with the weight components of every
+family's leg in family order, and the lowering closure is seeded with the
+weight components of every F_t in member order:
 
-* Soundness.  The joint closure (U-)^T span{f_1, ..., f_m} contains each
-  (U-)^T f_t.  If every joint row is orthogonal to W, so is every row of
-  each member's own closure, and each f_t vanishes on U.v by the
-  reduction above.  Each member then gets the certificate
-  (dim U+v, dim (U-)^T span{f_1, ..., f_m}).  More legs keep the argument
-  leg by leg: each joint closure contains each member's, so the joint
+* Soundness, one leg.  U.span{V_phi} = sum_phi U.V_phi, and by the
+  reduction above it is U-.W with W the closure of the weight components
+  of every V_phi under the E_i.  So if (U-)^T span{F_1, ..., F_m} is
+  orthogonal to W, every F_t vanishes on every U.V_phi, which is the
+  zero test of every member (t, phi) of the group; for one leg this is
+  an iff.  Each member then gets the certificate
+  (dim W, dim (U-)^T span{F_1, ..., F_m}), both at least its own.
+* Soundness, two legs.  The argument runs leg by leg as in the one-member
+  test: each joint closure contains each member's, so the joint
   contractions span each member's, and the joint closure of the next leg
-  contains each member's.  The certificate holds the joint closure
-  dimensions.
+  contains each member's.  Seeding each leg with every family's leg adds
+  cross pairs (the leg 0 of one family with the leg 1 of another), so
+  here the joint test is sufficient only, and the fallback decides.  The
+  certificate holds the joint closure dimensions.
 * Cap.  A member's own closures lie inside the joint ones, so joint
   closures that never exceed the cap bound every member's closures too.
-* Fallback.  If the joint closure pairs non-zero or overruns the cap,
-  every member is tested on its own exactly as a one-member call, so
-  per-member verdicts, witnesses and cap overruns do not depend on the
-  batching.
+* Fallback.  If the group's test pairs non-zero or overruns the cap,
+  each of its families is tested alone: its own raising closures and
+  one joint lowering closure of its members' functionals, as above with
+  one family.  If that pairs non-zero or overruns the cap too, every
+  member of the family is tested on its own exactly as a one-member
+  call, so per-member verdicts, witnesses and cap overruns do not depend
+  on the batching.
 
 Closures run on integers wherever the scalars allow:
 
@@ -160,9 +175,12 @@ class ZeroCertificate:
     closure row paired with a raising row, each as normalized by the span
     kernel, so the value depends on the pivot order (see the module
     docstring) but never on integer scaling.  A zero verdict of a batch
-    member that shared a joint closure carries the joint lowering
-    dimensions instead.  It is () when the terms cancel outright; groups
-    counts the distinct (words, vector legs) after cancellation."""
+    member that was certified with other families or members carries the
+    dimensions of the joint closures instead: the raising closures of
+    every family's legs and the lowering closures of every member's
+    functional in the group (see the module docstring).  It is () when
+    the terms cancel outright; groups counts the distinct (words, vector
+    legs) after cancellation."""
 
     zero: bool
     closure_dims: tuple[int, ...]
@@ -362,46 +380,84 @@ class CoordAlgebra:
         """Exact zero tests for a batch of sums of tensors of elements (1 or
         2 legs); each member is an iterable of (coeff, (elem_0, ...,
         elem_n)) as in tensor_zero_test.  Members are drawn one at a time,
-        so a generator batch never holds more than the aggregated
-        functionals.  Returns one ZeroCertificate per member, in order.
+        and each is kept only as the interned tuple of its functionals, one
+        dict per block, so a generator batch holds no more than its
+        distinct functionals.  Returns one ZeroCertificate per member, in
+        order.
 
-        Members with the same stacked vector legs share one joint lowering
-        closure (see the module docstring); if it pairs non-zero or
-        overruns the cap, each of them is tested on its own, so verdicts,
-        witnesses and cap overruns are those of one-member calls.
+        Members with the same stacked vector legs form a family, and
+        families with the same block words and the same member functionals
+        in the same order are tested together: one raising closure per leg
+        seeded with every family's legs, and one joint lowering closure of
+        the shared functionals.  If that pairs non-zero or overruns the
+        cap, each family is tested alone with one joint lowering closure of
+        its members, and if that fails too each member on its own (see the
+        module docstring), so verdicts, witnesses and cap overruns are
+        those of one-member calls.
         """
         if self.field.is_classical:
             raise ValueError(
                 "zero tests require symbolic q or rational 0 < q < 1 "
                 "(weight separation fails at q = 1)")
+        # certs[at] holds member at's interned functionals until its
+        # certificate replaces them; a family is the list of its positions
         certs = []
         families = {}
+        interned = {}
         for tensor_terms in batch:
+            # only the interned functionals outlive the drawing of a member
             order, groups = self._group_terms(tensor_terms)
+            del tensor_terms
             if groups is None:
                 certs.append(ZeroCertificate(True, (), 0))
-            else:
-                families.setdefault(order, []).append((len(certs), groups))
-                certs.append(None)
-        for order, members in families.items():
-            nsides = len(order[0][0])
-            legs = [self._raising_closure(
-                tuple((k[0][s], k[1][s]) for k in order))
-                for s in range(nsides)]
-            joint = None
-            if len(members) > 1:
+                continue
+            funs = tuple(groups[k] for k in order)
+            del groups
+            families.setdefault(order, []).append(len(certs))
+            certs.append(interned.setdefault(
+                tuple(tuple(sorted(f.items())) for f in funs), funs))
+        del interned  # its keys copy every distinct functional
+        shared = {}
+        for order, ats in families.items():
+            # interned functionals are equal iff they are the same object
+            shared.setdefault((tuple(k[0] for k in order),
+                               tuple(id(certs[at]) for at in ats)),
+                              []).append(order)
+        for (words, _), orders in shared.items():
+            funs = [certs[at] for at in families[orders[0]]]
+            if len(orders) > 1:
                 try:
-                    joint = self._lowering_test(
-                        order, legs, [f for _, f in members])
+                    legs = self._raising_legs(orders)
                 except CapExceeded:
-                    pass
-            for at, groups in members:
-                if joint is not None and joint.zero:
-                    certs[at] = ZeroCertificate(True, joint.closure_dims,
-                                                joint.groups)
-                else:
-                    certs[at] = self._lowering_test(order, legs, [groups])
+                    legs = None
+                if legs is not None and self._joint_test(
+                        words, legs, funs,
+                        [families[order] for order in orders], certs):
+                    continue
+            for order in orders:
+                legs = self._raising_legs([order])
+                if len(funs) > 1 and self._joint_test(
+                        words, legs, funs, [families[order]], certs):
+                    continue
+                for at in families[order]:
+                    certs[at] = self._lowering_test(words, legs, [certs[at]])
         return certs
+
+    def _joint_test(self, words, legs, funs, families, certs):
+        """One lowering closure of the shared functionals funs of the
+        families (lists of member positions) against the raising closures
+        legs.  If every pairing is zero, give each member the joint
+        certificate and return True; return False if one pairs non-zero or
+        the closure overruns the cap."""
+        try:
+            joint = self._lowering_test(words, legs, funs)
+        except CapExceeded:
+            return False
+        if joint.zero:
+            for ats in families:
+                for at in ats:
+                    certs[at] = joint
+        return joint.zero
 
     def tensor_zero_test(self, tensor_terms):
         """Exact zero test for sums of tensors of elements (1 or 2 legs).
@@ -451,21 +507,22 @@ class CoordAlgebra:
                 "zero tests are implemented for 1- and 2-leg tensors")
         return tuple(sorted(groups, key=_group_sort_key)), groups
 
-    def _lowering_test(self, order, legs, funs):
-        """Close the weight components of every functional in funs (group
-        dicts over the stacked legs `order`, in order) under the transposed
-        F_i one leg at a time, from the last leg to leg 0, and contract
-        each leg's closure rows with the raising closure rows of that leg
-        (see the module docstring).  Keys are radix keys of the blocks'
-        legs 0..s.  An inner leg's closure is built in full, which releases
-        its working span basis before the contractions grow; the rows of
-        leg 0 are paired as they are inserted, and the test stops at the
-        first non-zero pairing, whose witness is the exact value."""
+    def _lowering_test(self, words, legs, funs):
+        """Close the weight components of every functional in funs (tuples
+        of one dict {fkeys: coeff} per block of the stacked legs, the
+        blocks' leg words in words) under the transposed F_i one leg at a
+        time, from the last leg to leg 0, and contract each leg's closure
+        rows with the raising closure rows of that leg (see the module
+        docstring).  Keys are radix keys of the blocks' legs 0..s.  An
+        inner leg's closure is built in full, which releases its working
+        span basis before the contractions grow; the rows of leg 0 are
+        paired as they are inserted, and the test stops at the first
+        non-zero pairing, whose witness is the exact value."""
         dims = tuple(dim for _, dim in legs)
-        codec = _Radix(self, [k[0] for k in order])
+        codec = _Radix(self, words)
         seeds = [v for fun in funs for v in self._weight_split(codec, (
-            (gi, fkeys, c) for gi, k in enumerate(order)
-            for fkeys, c in fun[k].items()))]
+            (gi, fkeys, c) for gi, f in enumerate(fun)
+            for fkeys, c in f.items()))]
         for s in reversed(range(len(legs))):
             rows = self._closure_rows(codec, seeds, [
                 (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True)
@@ -482,13 +539,13 @@ class CoordAlgebra:
                         val = self._kernel.ratio(
                             val, row[max(row)] * w[max(w)])
                         return ZeroCertificate(
-                            False, dims + (fdim,), len(order),
+                            False, dims + (fdim,), len(words),
                             witness=f"pairs to {val} on a closure "
                             + ("vector" if len(legs) == 1 else "pair"))
             dims += (fdim,)
             if s:
                 codec = _Radix(self, [w[:s] for w in codec.words])
-        return ZeroCertificate(True, dims, len(order))
+        return ZeroCertificate(True, dims, len(words))
 
     def _contract(self, codec, row, leg):
         """Contract the last leg of a weight-homogeneous row with each row
@@ -514,14 +571,25 @@ class CoordAlgebra:
             if g:
                 yield g, w
 
-    def _raising_closure(self, sig):
-        """U+ closure of the stacked vector leg described by sig, a tuple of
-        (word, canonical vec items) blocks: ({(weight,): rows}, dim), rows
-        keyed block + len(sig) * i by the radix keys of the one-leg blocks."""
-        codec = _Radix(self, [(w,) for w, _ in sig])
-        seeds = self._weight_split(codec, (
+    def _raising_legs(self, orders):
+        """The raising closure of each leg, seeded with the stacked legs of
+        every family in orders (group keys with the same block words), in
+        family order."""
+        return [self._raising_closure([
+            tuple((k[0][s], k[1][s]) for k in order) for order in orders])
+            for s in range(len(orders[0][0][0]))]
+
+    def _raising_closure(self, sigs):
+        """U+ closure of the stacked vector legs described by sigs, each a
+        tuple of (word, canonical vec items) blocks with the same words:
+        ({(weight,): rows}, dim), rows keyed block + len(sig) * i by the
+        radix keys of the one-leg blocks, seeded with the weight
+        components of each stacked leg in turn."""
+        codec = _Radix(self, [(w,) for w, _ in sigs[0]])
+        seeds = [v for sig in sigs for v in self._weight_split(codec, (
             (gi, (key,), c)
-            for gi, (_, vec_items) in enumerate(sig) for key, c in vec_items))
+            for gi, (_, vec_items) in enumerate(sig)
+            for key, c in vec_items))]
         raising = [(0, ("E", i)) for i in range(1, self.rs.rank + 1)]
         by_wt = {}
         for row in self._closure_rows(codec, seeds, raising, False):

@@ -209,6 +209,30 @@ def test_cap_holds_on_a_cached_closure():
             fp.verify_idempotent(ctx)
 
 
+def test_matrix_units_fall_back_to_families_on_the_cap(a2s2):
+    """The families with a != d share their functionals and are tested
+    together, with a raising closure of dimension 72.  At cap 40 that
+    closure overruns, but each family's own closures (raising dimension at
+    most 27) fit: every product identity is still zero, a != d with the
+    certificate of its family tested alone, a = d (its groups' closures,
+    at most 36, fit) as at the default cap, and nothing raises."""
+    free = fp.verify_matrix_units(a2s2, laws=("product",))["product"]
+    ctx = fp.flag_context("A", 2, (2,), SymbolicField(), cap=40)
+    capped = fp.verify_matrix_units(ctx, laws=("product",))["product"]
+    entries = list(itertools.product(range(ctx.dim), repeat=2))
+    assert max(c.closure_dims[0] for c in free.values()) == 72
+    for abcd in itertools.product(range(ctx.dim), repeat=4):
+        keys = [abcd + ij for ij in entries]
+        if abcd[0] == abcd[3]:
+            want = [free[k] for k in keys]
+        else:
+            want = ctx.alg.batch_zero_test(
+                fp._product_law(ctx, *k) for k in keys)
+            assert max(c.closure_dims[0] for c in want) <= 27
+        assert [capped[k] for k in keys] == want
+        assert all(c.zero for c in want)
+
+
 def _raw_terms(elem):
     return [(w, dict(f), dict(v)) for w, f, v in elem.terms]
 

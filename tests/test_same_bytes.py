@@ -40,3 +40,23 @@ def test_compare_fails_on_missing_items_and_errors():
     lines, ok = sb.compare(["a"], {"a": err}, {"a": err})
     assert not ok
     assert lines == [f"DIFFERENT a: parent {err} change {err}"]
+
+
+def test_differences_name_fields_and_records():
+    def rec(name, q="symbolic", **kw):
+        return {"name": name, "q": q, "status": "pass", "lhs": "",
+                "cert_sizes": [], **kw}
+
+    parent = {"case": {"rank": 1}, "verdict": "pass",
+              "records": [rec("a"), rec("b", cert_sizes=[1, 2]), rec("c")]}
+    assert sb.differences(parent, parent) == []
+    change = {"case": {"rank": 1}, "verdict": "fail",
+              "records": [rec("a"), rec("b", cert_sizes=[3], lhs="x"),
+                          rec("d", q="1/2")]}
+    assert sb.differences(parent, change) == [
+        "  verdict",
+        "  b [symbolic]: lhs, cert_sizes",
+        "  c [symbolic]: only in parent",
+        "  d [1/2]: only in change"]
+    swapped = dict(parent, records=parent["records"][::-1])
+    assert sb.differences(parent, swapped) == ["  record order"]

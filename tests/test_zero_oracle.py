@@ -354,3 +354,86 @@ def test_oracle_agrees_on_two_leg_batches(case):
     assert _batch_agrees(ctx, _product_batch(
         ctx, abcd(), {one: rng.randrange(n)}, z)) == \
         [e != one for e in entries]
+
+
+# -- grouped families -------------------------------------------------------------
+
+
+def _shared_families(rng, n):
+    """Four distinct (a, b, c, d): two with a != d, whose entries share
+    their functionals, and two with a = d for one a, which share theirs."""
+    def pick(a, d):
+        return (a, rng.randrange(n), rng.randrange(n), d)
+
+    a, d = rng.sample(range(n), 2)
+    out = [pick(a, d), pick(d, a)]
+    e = rng.randrange(n)
+    while len(out) < 4:
+        abcd = pick(e, e)
+        if abcd not in out:
+            out.append(abcd)
+    return out
+
+
+def _grouped_batch_agrees(ctx, members):
+    """Batch certificates of members drawn from several families against
+    one-member calls and the oracle.  Every verdict agrees.  A zero
+    member's certificate has the shape of its own and closures no smaller
+    (the joint ones contain its own); a non-zero member's certificate and
+    witness are its own.  Returns the verdicts and whether some zero
+    certificate had a larger raising closure than the member's own, which
+    only a group of families gives."""
+    certs = ctx.alg.batch_zero_test(members)
+    nsides = len(members[0][0][1])
+    grouped = False
+    for terms, cert in zip(members, certs):
+        single = ctx.alg.tensor_zero_test(terms)
+        assert cert.zero == single.zero == two_sided_is_zero(ctx.alg, terms)
+        if cert.zero:
+            assert cert.groups == single.groups
+            assert len(cert.closure_dims) == len(single.closure_dims)
+            assert all(j >= o for j, o in zip(cert.closure_dims,
+                                               single.closure_dims))
+            grouped = grouped or (cert.closure_dims[:nsides]
+                                  != single.closure_dims[:nsides])
+        else:
+            assert cert == single
+    return [c.zero for c in certs], grouped
+
+
+@pytest.mark.parametrize("legs", [1, 2])
+def test_oracle_agrees_on_grouped_families(case, legs):
+    """Product-law batches over several (a, b, c, d) whose families share
+    their functionals, 1-leg and 2-leg (each law (x) one matrix unit z):
+    all zero, so each group of families passes with one raising closure
+    per leg and one joint lowering closure; one tampered entry in one
+    family, which then forms a group of its own; and a random mix in which
+    both families of one group carry one shared random set of tampered
+    entries, so that the group pairs non-zero and falls back, and the
+    other group passes."""
+    name, ctx = case[0], case[1]
+    rng = random.Random(f"{name}grouped{legs}")
+    n = ctx.dim
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    z = _munit(rng, ctx) if legs == 2 else None
+
+    def batch(tampered):
+        members, want = [], []
+        for abcd, bad in tampered:
+            members += _product_batch(ctx, abcd, bad, z)
+            want += [e not in bad for e in entries]
+        verdicts, grouped = _grouped_batch_agrees(ctx, members)
+        assert verdicts == want
+        return grouped
+
+    assert batch([(abcd, {}) for abcd in _shared_families(rng, n)])
+    fams = _shared_families(rng, n)
+    hit = rng.randrange(len(fams))
+    one = {rng.choice(entries): rng.randrange(n)}
+    assert batch([(abcd, one if f == hit else {})
+                  for f, abcd in enumerate(fams)])
+    bad = {e: rng.randrange(n)
+           for e in rng.sample(entries, rng.randint(1, len(entries) - 1))}
+    hit = rng.randrange(2)
+    assert batch([(abcd, bad if f // 2 == hit else {})
+                  for f, abcd in enumerate(_shared_families(rng, n))])

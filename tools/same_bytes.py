@@ -7,8 +7,10 @@ checkout's src/ first on sys.path computes the sha256 of the
 comparison_body of run_suite for every case of SUITES, and of module_dump
 for every highest weight of WEIGHTS over every field of FIELDS (symbolic
 only where the rank is at most 2 or the weight sums to at most 1).  One
-line per item gives both digests.  Exits 1 on any mismatch, or if a run or
-an item failed.
+line per item gives both digests; under a suite whose digests differ,
+one indented line names each top-level field and each record (name and q
+tag) that differs, with the record fields that differ.  Exits 1 on any
+mismatch, or if a run or an item failed.
 """
 
 from __future__ import annotations
@@ -60,26 +62,28 @@ from qflag.qscalar import FixedField, SymbolicField
 from qflag.repn import hw_module, module_dump
 from qflag.report import CaseConfig, comparison_body, run_suite
 
-def text(kind, args):
+def body(kind, args):
+    # (the text digested, the comparison body of a suite or None)
     if kind == "suite":
         family, rank, subset, qs, cap = args
         cfg = CaseConfig(family, rank, tuple(subset),
                          q_values=None if qs is None else tuple(qs),
                          **({} if cap is None else {"cap": cap}))
-        return json.dumps(comparison_body(run_suite(cfg).as_dict()),
-                          indent=2)
+        out = comparison_body(run_suite(cfg).as_dict())
+        return json.dumps(out, indent=2), out
     family, rank, lam, q = args
     field = SymbolicField() if q == "symbolic" else FixedField(Fraction(q))
     return module_dump(hw_module(cartan.root_system(family, rank),
-                                 tuple(lam), field))
+                                 tuple(lam), field)), None
 
 for label, kind, args in json.load(sys.stdin):
     try:
-        out = hashlib.sha256(text(kind, args).encode()).hexdigest()
+        text, out = body(kind, args)
+        digest = hashlib.sha256(text.encode()).hexdigest()
     except Exception as exc:
         traceback.print_exc()
-        out = f"error {type(exc).__name__}: {exc}"
-    print(json.dumps([label, out]), flush=True)
+        digest, out = f"error {type(exc).__name__}: {exc}", None
+    print(json.dumps([label, digest, out]), flush=True)
 """
 
 
@@ -101,16 +105,22 @@ def items():
 
 
 def digests(checkout, todo):
-    """{label: sha256 or 'error ...'} from one fresh interpreter in the
-    checkout, whose tracebacks go to stderr; labels it did not reach are
-    missing."""
+    """({label: sha256 or 'error ...'}, {label: comparison body}) from one
+    fresh interpreter in the checkout, whose tracebacks go to stderr;
+    labels it did not reach are missing, and only suites have a body."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(checkout / "src")], cwd=checkout,
         input=json.dumps(todo), capture_output=True, text=True)
     if proc.returncode or proc.stderr:
         print(f"run in {checkout} exited {proc.returncode}:\n"
               f"{proc.stderr}", file=sys.stderr)
-    return dict(json.loads(line) for line in proc.stdout.splitlines())
+    out, bodies = {}, {}
+    for line in proc.stdout.splitlines():
+        label, digest, body = json.loads(line)
+        out[label] = digest
+        if body is not None:
+            bodies[label] = body
+    return out, bodies
 
 
 def compare(labels, parent, change):
@@ -126,16 +136,46 @@ def compare(labels, parent, change):
     return lines, ok
 
 
+def differences(parent, change):
+    """Indented lines naming what differs between two comparison bodies:
+    each top-level field other than the records, then each record, keyed
+    by name and q tag, that only one side has or whose fields differ, with
+    those fields; and the record order, if only that differs."""
+    lines = [f"  {key}" for key in dict.fromkeys([*parent, *change])
+             if key != "records" and parent.get(key) != change.get(key)]
+    recs = [{(r["name"], r["q"]): r for r in body.get("records", [])}
+            for body in (parent, change)]
+    for key in dict.fromkeys([*recs[0], *recs[1]]):
+        a, b = recs[0].get(key), recs[1].get(key)
+        name = f"{key[0]} [{key[1]}]"
+        if a is None or b is None:
+            lines.append(f"  {name}: only in "
+                         + ("change" if a is None else "parent"))
+        elif a != b:
+            lines.append(f"  {name}: " + ", ".join(
+                f for f in dict.fromkeys([*a, *b]) if a.get(f) != b.get(f)))
+    if not lines and list(recs[0]) != list(recs[1]):
+        lines.append("  record order")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
     todo = items()
-    parent = digests(args.parent.resolve(), todo)
-    change = digests(args.change.resolve(), todo)
-    lines, ok = compare([label for label, _, _ in todo], parent, change)
-    print("\n".join(lines))
+    parent, parent_bodies = digests(args.parent.resolve(), todo)
+    change, change_bodies = digests(args.change.resolve(), todo)
+    labels = [label for label, _, _ in todo]
+    lines, ok = compare(labels, parent, change)
+    for label, line in zip(labels, lines):
+        print(line)
+        if (line.startswith("DIFFERENT") and label in parent_bodies
+                and label in change_bodies):
+            for diff in differences(parent_bodies[label],
+                                    change_bodies[label]):
+                print(diff)
     print("every item the same" if ok else "NOT every item the same")
     return 0 if ok else 1
 
