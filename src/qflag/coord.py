@@ -477,22 +477,25 @@ class CoordAlgebra:
     def _group_terms(self, tensor_terms):
         """Aggregate a tensor sum by (words, vector legs): returns the sorted
         group keys (the stacked vector legs) and {key: {fkeys: coeff}}, or
-        ((), None) when every functional cancels.  The zero tests stack
-        these groups, and CoordElem.canonical reads its normal form off
-        them."""
+        ((), None) when every functional cancels; each coeff scales its
+        term's functional values.  The zero tests stack these groups, and
+        CoordElem.canonical reads its normal form off them."""
         zero = self.field.zero
         nsides = None
         groups = {}
         for coeff, legs in tensor_terms:
             if nsides is None:
                 nsides = len(legs)
+                if nsides > 2:
+                    raise NotImplementedError(
+                        "zero tests are implemented for 1- and 2-leg tensors")
             elif len(legs) != nsides:
                 raise ValueError("mixed tensor degrees in one zero test")
             for combo in itertools.product(*(e.terms for e in legs)):
-                words = tuple(t[0] for t in combo)
-                vecs = tuple(_canon_vec(t[2]) for t in combo)
-                g = groups.setdefault((words, vecs), {})
-                for items in itertools.product(*(t[1].items() for t in combo)):
+                words, funs, vecs = zip(*combo)
+                g = groups.setdefault((words, tuple(map(_canon_vec, vecs))),
+                                      {})
+                for items in itertools.product(*(f.items() for f in funs)):
                     fkeys, cs = zip(*items)
                     nv = g.get(fkeys, zero) + reduce(mul, cs, coeff)
                     if nv:
@@ -500,11 +503,8 @@ class CoordAlgebra:
                     else:
                         g.pop(fkeys, None)
         groups = {k: v for k, v in groups.items() if v}
-        if nsides is None or not groups:
+        if not groups:
             return (), None
-        if nsides > 2:
-            raise NotImplementedError(
-                "zero tests are implemented for 1- and 2-leg tensors")
         return tuple(sorted(groups, key=_group_sort_key)), groups
 
     def _lowering_test(self, words, legs, funs):
@@ -790,7 +790,8 @@ def _pair(field, fun, vec):
 
 
 def _canon_vec(vec):
-    return tuple(sorted(vec.items(), key=lambda kv: kv[0]))
+    # keys are distinct, so sorting the items never compares two values
+    return tuple(sorted(vec.items()))
 
 
 def _group_sort_key(k):

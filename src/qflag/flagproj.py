@@ -88,28 +88,26 @@ def flag_context(family, rank, subset, field,
 
 
 def _product_law(ctx, a, b, c, d, i, j):
-    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j],
-    as the tensor terms of a zero test."""
-    lhs = ctx.alg.zero()
-    for k in range(ctx.dim):
-        lhs = lhs + ctx.norms[k] * (
-            ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
+    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j]
+    as tensor terms (coeff, (elem,)), one per summand: the zero test scales
+    each as it groups them, so no summed element is built."""
+    terms = [(ctx.norms[k], (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j),))
+             for k in range(ctx.dim)]
     if a == d:
-        lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
-    return [(ctx.field.one, (lhs,))]
+        terms.append((-ctx.norms[a], (ctx.munit(c, b, i, j),)))
+    return terms
 
 
 def _trace_law(ctx, a, b):
     """sum_i q^(2rho, lam_i) N_i mu[a,b][i,i]
-    - delta_(a,b) N_a q^(2rho, lam_a) 1."""
+    - delta_(a,b) N_a q^(2rho, lam_a) 1 as tensor terms (_product_law)."""
     F = ctx.field
-    lhs = ctx.alg.zero()
-    for i in range(ctx.dim):
-        lhs = lhs + (F.q_power(ctx.wexp[i]) * ctx.norms[i]) * \
-            ctx.munit(a, b, i, i)
+    terms = [(F.q_power(ctx.wexp[i]) * ctx.norms[i], (ctx.munit(a, b, i, i),))
+             for i in range(ctx.dim)]
     if a == b:
-        lhs = lhs - (ctx.norms[a] * F.q_power(ctx.wexp[a])) * ctx.alg.unit()
-    return lhs
+        terms.append((-(ctx.norms[a] * F.q_power(ctx.wexp[a])),
+                      (ctx.alg.unit(),)))
+    return terms
 
 
 def _star_law(ctx, a, b, i, j):
@@ -139,7 +137,7 @@ def verify_selfadjoint(ctx: FlagContext) -> bool:
 
 def verify_qtrace(ctx: FlagContext) -> ZeroCertificate:
     """sum_i q^(2rho, lam_i) N_i phat[i,i] = q^(2rho, rho_S) 1."""
-    return ctx.alg.is_zero(_trace_law(ctx, 0, 0))
+    return ctx.alg.tensor_zero_test(_trace_law(ctx, 0, 0))
 
 
 def levi_generators(rs, S):
@@ -201,6 +199,6 @@ def verify_matrix_units(ctx: FlagContext, indices=None,
         out["star"] = all(_star_law(ctx, *abij)
                           for abij in itertools.product(idx, repeat=4))
     if "trace" in laws:
-        out["trace"] = {ab: ctx.alg.is_zero(_trace_law(ctx, *ab))
+        out["trace"] = {ab: ctx.alg.tensor_zero_test(_trace_law(ctx, *ab))
                         for ab in itertools.product(idx, repeat=2)}
     return out

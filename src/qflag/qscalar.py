@@ -219,7 +219,8 @@ class QScalar:
 
     def __hash__(self):
         if self.shift == 0 and len(self.num) == 1 and len(self.den) == 1:
-            return hash(Q(self.num[0], self.den[0]))  # agree with Fraction
+            n, d = self.num[0], self.den[0]  # hash as Fraction(n, d) does
+            return hash(n) if d == 1 else hash(Q(n, d))
         return hash((self.shift, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
@@ -360,7 +361,10 @@ _SIGNS = ((1,), (-1,))
 def _unit_times(u, x):
     """u * x for a unit u = +-s^k and a nonzero x, without _reduce: the
     shift moves and the sign goes to num, so num and den stay coprime with
-    den(0) > 0, and the triple is the canonical one."""
+    den(0) > 0, and the triple is the canonical one (x itself for u = 1;
+    scalars are immutable, so x is returned)."""
+    if u.shift == 0 and u.num[0] == 1:
+        return x
     num = x.num if u.num[0] == 1 else tuple(-c for c in x.num)
     return _new(u.shift + x.shift, num, x.den)
 

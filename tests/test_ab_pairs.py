@@ -62,3 +62,12 @@ def test_summary_skips_missing_workloads_and_flags_incorrect_runs():
     assert row[2] == (1.0, 1.0, 1.0)
     assert not ab.all_correct(pairs)
     assert ab.all_correct(pairs[:1])
+
+
+def test_bench_command_passes_workload_and_seed_through():
+    base = ab.bench_command(50)
+    assert base[1:] == ["perfbench/run.py", "--seconds", "50"]
+    assert ab.bench_command(10.0, "symbolic_munits", 3)[1:] == [
+        "perfbench/run.py", "--seconds", "10.0",
+        "--workload", "symbolic_munits", "--seed", "3"]
+    assert ab.bench_command(50, seed=0)[3:] == ["50", "--seed", "0"]

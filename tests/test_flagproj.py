@@ -261,3 +261,83 @@ def test_memoized_cores_survive_every_check():
         fresh = ctx.alg.mc(i, b) * ctx.alg.mc(j, a, barred=True)
         assert core.canonical() == fresh.canonical()
         assert _raw_terms(core) == _raw_terms(fresh)
+
+
+# -- laws as tensor terms ------------------------------------------------------
+
+
+def _summed_product(ctx, a, b, c, d, i, j, bad=None):
+    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j]
+    as one element, with the k = bad summand doubled."""
+    lhs = ctx.alg.zero()
+    for k in range(ctx.dim):
+        w = ctx.norms[k] * (2 if k == bad else 1)
+        lhs = lhs + w * (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
+    if a == d:
+        lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
+    return lhs
+
+
+def _summed_trace(ctx, a, b):
+    """sum_i q^(2rho, lam_i) N_i mu[a,b][i,i] - delta_(a,b) N_a
+    q^(2rho, lam_a) 1 as one element."""
+    F = ctx.field
+    lhs = ctx.alg.zero()
+    for i in range(ctx.dim):
+        lhs = lhs + (F.q_power(ctx.wexp[i]) * ctx.norms[i]) * \
+            ctx.munit(a, b, i, i)
+    if a == b:
+        lhs = lhs - (ctx.norms[a] * F.q_power(ctx.wexp[a])) * ctx.alg.unit()
+    return lhs
+
+
+def _same_as_summed(ctx, terms, elem):
+    alg = ctx.alg
+    got = alg._group_terms(terms)
+    assert got == alg._group_terms([(ctx.field.one, (elem,))])
+    cert = alg.tensor_zero_test(terms)
+    assert cert == alg.is_zero(elem)
+    return cert
+
+
+@pytest.mark.parametrize("ctxname", ["a1", "a2s2", "b2s1"])
+def test_tensor_term_laws_group_as_the_summed_element(ctxname, request):
+    """The product and trace laws are passed to the zero test as their
+    scaled summands; they give the groups (order and functionals) and the
+    certificates of the summed element, for a = d and a != d, and for a
+    member with one summand doubled."""
+    ctx = request.getfixturevalue(ctxname)
+    last = ctx.dim - 1
+    for key in [(0, 0, 0, 0, 0, last), (last, 0, 1, last, 1, 0),
+                (0, 1, last, 1, last, last), (1, last, 0, 0, 0, 1)]:
+        assert _same_as_summed(ctx, fp._product_law(ctx, *key),
+                               _summed_product(ctx, *key)).zero
+    key, bad = (0, 0, 1, 0, 0, 1), 1
+    terms = fp._product_law(ctx, *key)
+    coeff, legs = terms[bad]
+    terms[bad] = (2 * coeff, legs)
+    assert not _same_as_summed(ctx, terms,
+                               _summed_product(ctx, *key, bad)).zero
+    for ab in [(0, 0), (last, last), (0, last)]:
+        assert _same_as_summed(ctx, fp._trace_law(ctx, *ab),
+                               _summed_trace(ctx, *ab)).zero
+
+
+def test_group_terms_rejects_mixed_degrees(a1):
+    x = a1.alg.mc(0, 0)
+    one = a1.field.one
+    with pytest.raises(ValueError, match="mixed"):
+        a1.alg._group_terms([(one, (x,)), (one, (x, x))])
+
+
+def test_group_terms_checks_the_leg_count_first(a1):
+    """A 3-leg tensor is refused on its first term, before any later term
+    is drawn or any grouping is done."""
+    x = a1.alg.mc(0, 0)
+
+    def terms():
+        yield a1.field.one, (x, x, x)
+        raise AssertionError("drawn past the first term")
+
+    with pytest.raises(NotImplementedError):
+        a1.alg._group_terms(terms())

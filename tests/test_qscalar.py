@@ -140,6 +140,14 @@ class TestUnitProducts:
             assert str(got) == str(want)
             assert hash(got) == hash(want)
 
+    @settings(max_examples=100)
+    @given(qscalars().filter(bool))
+    def test_one_times_x_keeps_x(self, x):
+        for got in (SYM.one * x, x * SYM.one):
+            assert (got.shift, got.num, got.den) == (x.shift, x.num, x.den)
+            assert str(got) == str(x)
+            assert hash(got) == hash(x)
+
 
 class TestEvaluation:
     @settings(max_examples=120)
@@ -177,7 +185,10 @@ class TestEvaluation:
         assert str(QScalar.s_power(3) * 2) == "2*s^3"
 
     def test_constants_hash_like_fractions(self):
-        assert hash(QScalar.from_fraction(Q(5, 3))) == hash(Q(5, 3))
+        for x in (0, 1, -1, 7, -7, 2 ** 70, -2 ** 70, Q(5, 3)):
+            assert hash(QScalar.from_fraction(x)) == hash(Q(x))
+            if Q(x).denominator == 1:
+                assert hash(QScalar.from_fraction(x)) == hash(int(x))
         assert QScalar.from_fraction(2) == 2
 
 

@@ -1,12 +1,15 @@
 """Alternating parent/change pairs of the benchmark, with a summary.
 
-    python3 tools/ab_pairs.py --parent DIR --change DIR --pairs 10 [--seconds 50]
+    python3 tools/ab_pairs.py --parent DIR --change DIR --pairs 10
+        [--seconds 50] [--workload NAME] [--seed N]
 
 DIR is a checkout of the repository.  Each run removes every __pycache__
-under the checkout's src/, then runs `perfbench/run.py --seconds S` there
-and reads the {"correct": ...} result line of each workload.  Odd pairs
-run the parent first, even pairs the change first, so a drift of the host
-speed over the runs does not favour either side.
+under the checkout's src/, then runs `perfbench/run.py --seconds S` there,
+with --workload and --seed passed through when given (by default every
+workload at run.py's default seed), and reads the {"correct": ...} result
+line of each workload.  Odd pairs run the parent first, even pairs the
+change first, so a drift of the host speed over the runs does not favour
+either side.
 
 For each workload and each end-to-end metric of the change's
 BENCHMARK.json the summary gives the parent median with its quartiles,
@@ -44,13 +47,22 @@ def parse_results(stdout):
     return out
 
 
-def run_once(checkout, seconds):
-    """One benchmark run in the checkout, from cleared bytecode caches."""
+def bench_command(seconds, workload=None, seed=None):
+    """The perfbench/run.py command line of one run, relative to a
+    checkout; workload and seed are passed only when given."""
+    cmd = [sys.executable, "perfbench/run.py", "--seconds", str(seconds)]
+    if workload is not None:
+        cmd += ["--workload", workload]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    return cmd
+
+
+def run_once(checkout, cmd):
+    """One run of cmd in the checkout, from cleared bytecode caches."""
     for cache in sorted((checkout / "src").rglob("__pycache__")):
         shutil.rmtree(cache)
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     return parse_results(proc.stdout)
 
 
@@ -98,18 +110,26 @@ def main(argv=None):
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=50)
+    ap.add_argument("--workload", help="one workload (default: all)")
+    ap.add_argument("--seed", type=int,
+                    help="the benchmark seed (default: run.py's)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(
         encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
+    if args.workload is not None:
+        if args.workload not in names:
+            ap.error(f"unknown workload {args.workload!r}")
+        names = [args.workload]
+    cmd = bench_command(args.seconds, args.workload, args.seed)
     pairs = []
     for n in range(1, args.pairs + 1):
         order = ("parent", "change") if n % 2 else ("change", "parent")
         runs = {}
         for side in order:
-            runs[side] = run_once(getattr(args, side).resolve(), args.seconds)
+            runs[side] = run_once(getattr(args, side).resolve(), cmd)
             missing = [w for w in names if w not in runs[side]]
             print(f"pair {n} {side}: " + ", ".join(
                 f"{w} correct {r['correct']}" for w, r in runs[side].items())
