@@ -7,7 +7,8 @@ their row store and closure images through the base class SpanBasis:
   +, -, *, /, bool (symbolic Laurent fractions use this one);
 * FractionSpanBasis -- Fraction vectors re-encoded as integer rows with a
   common denominator, eliminated by cross-multiplication with gcd stripping
-  (fraction-free in the style of Bareiss 1968).
+  (fraction-free in the style of Bareiss 1968); the scalars it hands back
+  (reduce, ratio) are fixed-q field elements, qflag.qscalar.Rational.
 
 A stored row is pivot-normalized (the row's largest key is its pivot), so
 one descending elimination pass terminates: eliminating the largest pivot
@@ -35,8 +36,9 @@ arithmetic beyond filling its table entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+
+from qflag.qscalar import Rational
 
 
 class SpanBasis:
@@ -184,7 +186,7 @@ class FractionSpanBasis(SpanBasis):
 
     def reduce(self, vec):
         dv, nv = self._reduce_int(*self._to_int(vec))
-        return {k: Fraction(n, dv) for k, n in nv.items()}
+        return {k: Rational(n, dv) for k, n in nv.items()}
 
     def insert(self, vec):
         """Add vec to the span; returns the stored integer row, with the
@@ -218,4 +220,4 @@ class FractionSpanBasis(SpanBasis):
 
     @staticmethod
     def ratio(num, den):
-        return Fraction(num, den)
+        return Rational(num, den)

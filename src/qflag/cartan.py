@@ -151,6 +151,8 @@ def _invert(cartan):
 
 def simple_root(rs: RootSystem, i: int):
     """alpha_i in simple-root coordinates (i is 1-based)."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rs.rank:
+        raise ValueError(f"simple root index {i!r} out of range")
     return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
 
 

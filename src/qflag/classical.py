@@ -30,15 +30,28 @@ from fractions import Fraction
 from qflag import cartan
 from qflag.coord import DEFAULT_CAP
 from qflag.flagproj import FlagContext, flag_context
-from qflag.hochschild import idempotent_cycle
+from qflag.hochschild import PerLeg, idempotent_cycle
 from qflag.qscalar import classical_field
 from qflag.repn import hw_module
 
 
-def _commutator(A, B):
+def _commutator(A, B, zero):
+    """AB - BA for square matrices over the field whose zero is given;
+    products with a zero factor are skipped."""
     n = len(A)
-    return [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
+    out = [[zero] * n for _ in range(n)]
+    for row, a_row, b_row in zip(out, A, B):
+        for k in range(n):
+            a, b = a_row[k], b_row[k]
+            if a:
+                for j, y in enumerate(B[k]):
+                    if y:
+                        row[j] += a * y
+            if b:
+                for j, y in enumerate(A[k]):
+                    if y:
+                        row[j] -= b * y
+    return out
 
 
 class ClassicalKahler:
@@ -49,6 +62,7 @@ class ClassicalKahler:
             raise ValueError("classical analysis needs the q = 1 field")
         self.ctx = ctx
         rs = ctx.rs
+        zero = ctx.field.zero
         m = ctx.m
         dim = m.dim
         self.nil_roots = list(ctx.par.nil_pos)
@@ -72,7 +86,7 @@ class ClassicalKahler:
             for alpha in simple:
                 rest = tuple(g - a for g, a in zip(gamma, alpha))
                 if rest in e:
-                    e[gamma] = _commutator(e[alpha], e[rest])
+                    e[gamma] = _commutator(e[alpha], e[rest], zero)
                     break
         self.e = e
 
@@ -86,7 +100,7 @@ class ClassicalKahler:
         # normalization constants from H = [e, f]
         self.c = {}
         for gamma in rs.pos_roots:
-            H = _commutator(e[gamma], self.f[gamma])
+            H = _commutator(e[gamma], self.f[gamma], zero)
             c_val = None
             for k in range(dim):
                 for l in range(dim):
@@ -121,7 +135,7 @@ class ClassicalKahler:
         N = self.ctx.m.norms
         cols = [[self.f[a][l][0] for l in range(self.ctx.dim)] for a in roots]
         chat = [[sum((n * x * y for n, x, y in zip(N, ca, cb) if x and y),
-                     Fraction(0)) for cb in cols] for ca in cols]
+                     self.ctx.field.zero) for cb in cols] for ca in cols]
         c = [self.c[a] for a in roots]
         return roots, chat, c
 
@@ -157,7 +171,7 @@ def _leg_derivative(leg, mat_plain, mat_conj):
     """Evaluate a first-order derivation at the identity coset: the slotwise
     matrix action (mat_plain on plain slots, mat_conj on conjugated slots)
     contracted between the functional and vector legs."""
-    tot = Fraction(0)
+    tot = leg.alg.field.zero
     for word, fun, vec in leg.terms:
         for key, cv in vec.items():
             for j, barred in enumerate(word):
@@ -176,8 +190,8 @@ def hkr_matrix(kk: ClassicalKahler):
     """Antisymmetrized first-order evaluation of C(P) at q = 1 over pairs of
     non-Levi roots: entry (alpha, beta) pairs the derivation along f_alpha
     (plain) / -e_alpha (conjugated) with the conjugate derivation along
-    e_beta / -f_beta.  Each cycle term's leg derivatives are computed once
-    per root and shared by every entry."""
+    e_beta / -f_beta.  The counit and the derivations along every root are
+    computed once per leg and shared by every term and entry."""
     cyc = idempotent_cycle(kk.ctx)
     roots = kk.nil_roots
 
@@ -186,15 +200,17 @@ def hkr_matrix(kk: ClassicalKahler):
 
     xs = [(kk.f[alpha], neg(kk.e[alpha])) for alpha in roots]
     ys = [(kk.e[beta], neg(kk.f[beta])) for beta in roots]
-    out = [[Fraction(0)] * len(roots) for _ in roots]
+    eps = PerLeg(lambda l: l.counit())
+    dx = PerLeg(lambda l: [_leg_derivative(l, *X) for X in xs])
+    dy = PerLeg(lambda l: [_leg_derivative(l, *Y) for Y in ys])
+    out = [[kk.ctx.field.zero] * len(roots) for _ in roots]
     for coeff, (a0, a1, a2) in cyc.terms:
-        s = coeff * a0.counit()
+        s = coeff * eps[a0]
         if not s:
             continue
-        dx = [(_leg_derivative(a1, *X), _leg_derivative(a2, *X)) for X in xs]
-        dy = [(_leg_derivative(a1, *Y), _leg_derivative(a2, *Y)) for Y in ys]
-        for row, (x1, x2) in zip(out, dx):
-            for j, (y1, y2) in enumerate(dy):
+        dy1, dy2 = dy[a1], dy[a2]
+        for row, x1, x2 in zip(out, dx[a1], dx[a2]):
+            for j, (y1, y2) in enumerate(zip(dy1, dy2)):
                 row[j] += s * (x1 * y2 - y1 * x2)
     return out
 

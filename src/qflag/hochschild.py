@@ -42,6 +42,19 @@ from qflag import cartan
 from qflag.flagproj import FlagContext
 
 
+class PerLeg(dict):
+    """fn(key) memoized per key for one call of a chain routine.  Keys are
+    leg objects (or tuples of them): CoordElem hashes by identity and is
+    immutable, so a leg that occurs in many terms is evaluated once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class Chain:
     """Formal sum of (degree+1)-fold tensors of CoordElems."""
 
@@ -64,11 +77,12 @@ class Chain:
 
     def counit_value(self):
         """eps applied to every leg, summed."""
+        eps = PerLeg(lambda l: l.counit())
         tot = self.alg.field.zero
         for c, legs in self.terms:
             v = c
             for l in legs:
-                v = v * l.counit()
+                v = v * eps[l]
                 if not v:
                     break
             tot = tot + v
@@ -81,30 +95,31 @@ def twisted_boundary(ch: Chain, twist="theta") -> Chain:
     if ch.degree < 1:
         raise ValueError("boundary needs degree >= 1")
     n = ch.degree
+    prod = PerLeg(lambda pair: pair[0] * pair[1])
+    theta = PerLeg(lambda l: l.theta())
     out = []
     for c, legs in ch.terms:
         for i in range(n):
             ci = -c if i % 2 else c
-            out.append((ci, legs[:i] + (legs[i] * legs[i + 1],)
+            out.append((ci, legs[:i] + (prod[legs[i], legs[i + 1]],)
                         + legs[i + 2:]))
-        last = legs[n].theta() if twist == "theta" else legs[n]
+        last = theta[legs[n]] if twist == "theta" else legs[n]
         cn = -c if n % 2 else c
-        out.append((cn, (last * legs[0],) + legs[1:n]))
+        out.append((cn, (prod[last, legs[0]],) + legs[1:n]))
     return Chain(ch.alg, n - 1, out)
 
 
 def normalize(ch: Chain) -> Chain:
     """Subtract the counit part of every leg after the first.  Idempotent."""
     unit = ch.alg.unit()
-    out = []
-    for c, legs in ch.terms:
-        nl = [legs[0]]
-        for l in legs[1:]:
-            e = l.counit()
-            if e:
-                l = l - unit * e
-            nl.append(l)
-        out.append((c, tuple(nl)))
+
+    def reduced(l):
+        e = l.counit()
+        return l - unit * e if e else l
+
+    red = PerLeg(reduced)
+    out = [(c, legs[:1] + tuple(red[l] for l in legs[1:]))
+           for c, legs in ch.terms]
     return Chain(ch.alg, ch.degree, out)
 
 
@@ -124,10 +139,11 @@ def idempotent_cycle(ctx: FlagContext) -> Chain:
     for i in range(ctx.dim):
         qi = F.q_power(ctx.wexp[i])
         for j in range(ctx.dim):
+            qij = qi * two * ctx.norms[i] * ctx.norms[j]
             for k in range(ctx.dim):
-                coeff = qi * two * ctx.norms[i] * ctx.norms[j] * ctx.norms[k]
-                terms.append((coeff, (ctx.phat(i, j), ctx.phat(j, k),
-                                      ctx.phat(k, i))))
+                terms.append((qij * ctx.norms[k],
+                              (ctx.phat(i, j), ctx.phat(j, k),
+                               ctx.phat(k, i))))
     one = alg.unit()
     for i in range(ctx.dim):
         qi = F.q_power(ctx.wexp[i])
@@ -167,16 +183,18 @@ def eta_value(ctx: FlagContext, a, ch: Chain):
         raise ValueError("eta pairs with degree-2 chains")
     if not 1 <= a <= ctx.rs.rank:
         raise ValueError(f"simple root index {a} out of range")
-    F = ctx.field
-    tot = F.zero
+    eps = PerLeg(lambda l: l.counit())
+    eps_f = PerLeg(lambda l: l.act_left(("F", a)).counit())
+    eps_e = PerLeg(lambda l: l.act_left(("E", a)).counit())
+    tot = ctx.field.zero
     for c, (a0, a1, a2) in ch.terms:
-        v = c * a0.counit()
+        v = c * eps[a0]
         if not v:
             continue
-        v = v * a1.act_left(("F", a)).counit()
+        v = v * eps_f[a1]
         if not v:
             continue
-        v = v * a2.act_left(("E", a)).counit()
+        v = v * eps_e[a2]
         tot = tot + v
     return tot
 

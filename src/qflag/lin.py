@@ -1,7 +1,8 @@
 """Exact span/elimination for the package's two scalar kinds.
 
-A field whose elements are Fractions (fixed q) gets the integer-row
-kernel, any other the generic field kernel; both live in qflag._pure.
+A field whose elements are Fractions (fixed q: qflag.qscalar.Rational, a
+Fraction subclass) gets the integer-row kernel, any other the generic
+field kernel; both live in qflag._pure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def kernel_name() -> str:
 
 def kernel(field):
     """The SpanBasis class suited to the field's element type."""
-    if type(field.zero) is Fraction:
+    if isinstance(field.zero, Fraction):
         return FractionSpanBasis
     return FieldSpanBasis
 

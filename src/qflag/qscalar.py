@@ -17,8 +17,11 @@ Two modes share one interface:
   content 1 and the same den(0) > 0, so by uniqueness it is already the
   canonical form, and results, strings and hashes are those of the full
   product.
-* fixed -- q is a concrete rational in (0, 1]; elements are fractions.Fraction
-  and arithmetic is the stdlib's.  q = 1 is the classical degeneration.
+* fixed -- q is a concrete rational in (0, 1]; elements are Rational, a
+  fractions.Fraction subclass whose + - * / ** with another Rational or an
+  int skip the stdlib's operand dispatch and build the result directly
+  (same normalization, so values, strings and hashes are the stdlib's).
+  q = 1 is the classical degeneration.
 
 Scalars are real: conjugation is the identity throughout the package.
 
@@ -378,6 +381,109 @@ def _coerce(x):
 
 
 # ---------------------------------------------------------------------------
+# fixed-q rationals
+
+
+def _rat(n, d):
+    """The Rational n/d for coprime ints n and d > 0."""
+    x = object.__new__(Rational)
+    x._numerator, x._denominator = n, d
+    return x
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db in lowest terms, reduced as Fraction._add reduces."""
+    g = _igcd(da, db)
+    if g == 1:
+        return _rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _igcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _diff(na, da, nb, db):
+    return _sum(na, da, -nb, db)
+
+
+def _prod(na, da, nb, db):
+    """(na/da) * (nb/db) in lowest terms, reduced as Fraction._mul
+    reduces."""
+    g1 = _igcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _igcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _rat(na * nb, db * da)
+
+
+def _quo(na, da, nb, db):
+    if nb < 0:
+        na, nb = -na, -nb
+    elif not nb:
+        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+    return _prod(na, da, db, nb)
+
+
+def _operators(op, fallback, rfallback):
+    """Forward and reflected methods: op on (numerator, denominator) pairs
+    when the other operand is a Rational or an int, else Fraction's."""
+
+    def forward(a, b):
+        t = type(b)
+        if t is Rational:
+            return op(a._numerator, a._denominator,
+                      b._numerator, b._denominator)
+        if t is int:
+            return op(a._numerator, a._denominator, b, 1)
+        return fallback(a, b)
+
+    def reverse(b, a):
+        if type(a) is int:
+            return op(a, 1, b._numerator, b._denominator)
+        return rfallback(b, a)
+
+    return forward, reverse
+
+
+class Rational(Fraction):
+    """The elements of a FixedField: a Fraction whose + - * / with a
+    Rational or an int skip Fraction's operand dispatch and __new__, and
+    reduce by gcd exactly as Fraction does, so every value is the same
+    lowest-terms pair.  Any other operand takes Fraction's operator, so a
+    plain Fraction operand gives a plain Fraction.  __eq__, __hash__,
+    ordering and __str__ are Fraction's."""
+
+    __slots__ = ()
+
+    __add__, __radd__ = _operators(_sum, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _operators(_diff, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _operators(_prod, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _operators(
+        _quo, Fraction.__truediv__, Fraction.__rtruediv__)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __bool__(a):
+        return a._numerator != 0
+
+    def __pow__(a, b):
+        r = Fraction.__pow__(a, b)
+        return _rat(r._numerator, r._denominator) if type(r) is Fraction else r
+
+
+def _as_rational(r):
+    """r (an int or a Fraction) as a Rational."""
+    return r if type(r) is Rational else Rational(r)
+
+
+# ---------------------------------------------------------------------------
 # scalar fields
 
 
@@ -412,37 +518,40 @@ class SymbolicField:
 
 class FixedField:
     """Scalars with q fixed at a rational q0 in (0, 1]; elements are
-    Fraction.  q0 = 1 is the classical degeneration (all q-integers become
-    ordinary integers via the power-sum form)."""
+    Rational.  q0 = 1 is the classical degeneration (all q-integers become
+    ordinary integers via the power-sum form).  Powers of q0 are memoized
+    per field."""
 
-    zero = Q(0)
-    one = Q(1)
+    zero = Rational(0)
+    one = Rational(1)
 
     def __init__(self, q0):
         if not isinstance(q0, (int, Fraction)) or isinstance(q0, bool):
             raise TypeError(f"q must be an int or a Fraction, got {q0!r}")
-        q0 = Q(q0)
+        q0 = _as_rational(q0)
         if not (0 < q0 <= 1):
             raise ValueError(f"q must lie in (0, 1], got {q0}")
         self.q0 = q0
         self.is_classical = q0 == 1
         self.name = "classical" if self.is_classical else f"q={q0}"
+        self._powers = {}
 
     def from_fraction(self, r):
-        return Q(r)
+        return _as_rational(r)
 
     def q_power(self, e):
-        if type(e) is not int:
-            if e != int(e):
+        p = self._powers.get(e)
+        if p is None:
+            if type(e) is not int and e != int(e):
                 raise ValueError(f"q^{e}: fractional powers need symbolic mode")
-            e = int(e)
-        return self.q0 ** e
+            p = self._powers[e] = self.q0 ** int(e)
+        return p
 
     def q_int(self, n, d=1):
         if n < 0:
             return -self.q_int(-n, d)
         return sum((self.q0 ** (d * (n - 1 - 2 * k)) for k in range(n)),
-                   start=Q(0))
+                   start=self.zero)
 
     def __repr__(self):
         return f"FixedField({self.q0})"

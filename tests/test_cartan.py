@@ -103,6 +103,16 @@ def test_fundamental_weight_duality(rs):
                 rs.d[i - 1] if i == j else 0)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3, 2.0, True, "1"])
+def test_simple_root_rejects_bad_index(bad):
+    """Only the ints 1..rank name a simple root: anything else used to
+    give the zero root, or index alpha from the end."""
+    a2 = cartan.root_system("A", 2)
+    assert [cartan.simple_root(a2, i) for i in (1, 2)] == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="simple root index .* out of range"):
+        cartan.simple_root(a2, bad)
+
+
 @pytest.mark.parametrize("rs", _all_systems(), ids=lambda r: r.name)
 def test_coordinate_roundtrip(rs):
     for alpha in rs.pos_roots:

@@ -13,14 +13,17 @@ hand values for the composite root vector and the [e, f] diagonal.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from qflag.classical import (ClassicalKahler, classical_context, hkr_matrix,
+from qflag.classical import (ClassicalKahler, _commutator, _leg_derivative,
+                             classical_context, hkr_matrix,
                              verify_classical_limit, verify_hkr,
                              verify_kahler_shape, verify_norm_lemma)
 from qflag.flagproj import flag_context
-from qflag.qscalar import SymbolicField
+from qflag.hochschild import idempotent_cycle
+from qflag.qscalar import Rational, SymbolicField, classical_field
 
 F = Fraction
 
@@ -162,3 +165,50 @@ def test_all_positive_root_vectors_built(a2full, b2s1):
         for gamma in kk.ctx.rs.pos_roots:
             assert gamma in kk.e
             assert any(x for row in kk.e[gamma] for x in row)
+
+
+# -- shared per-leg work against a term-by-term reference -------------------------
+
+
+def _ref_hkr(kk):
+    """hkr_matrix with every counit and leg derivative recomputed for every
+    term and entry."""
+    def neg(M):
+        return [[-x for x in row] for row in M]
+
+    xs = [(kk.f[a], neg(kk.e[a])) for a in kk.nil_roots]
+    ys = [(kk.e[b], neg(kk.f[b])) for b in kk.nil_roots]
+    out = [[F(0)] * len(xs) for _ in xs]
+    for coeff, (a0, a1, a2) in idempotent_cycle(kk.ctx).terms:
+        s = coeff * a0.counit()
+        for i, X in enumerate(xs):
+            for j, Y in enumerate(ys):
+                out[i][j] += s * (
+                    _leg_derivative(a1, *X) * _leg_derivative(a2, *Y)
+                    - _leg_derivative(a1, *Y) * _leg_derivative(a2, *X))
+    return out
+
+
+@pytest.mark.parametrize("fix", ["a1", "a2s2", "b2s1"])
+def test_hkr_matches_term_by_term_reference(fix, request):
+    kk = request.getfixturevalue(fix)
+    got = hkr_matrix(kk)
+    assert got == _ref_hkr(kk)
+    assert all(type(x) is Rational for row in got for x in row)
+    _, chat, _ = kk.kahler_matrix()
+    assert all(type(x) is Rational for row in chat for x in row)
+
+
+def test_commutator_matches_dense_product():
+    rng = Random(5)
+    zero = classical_field().zero
+    for n in (1, 2, 4):
+        A, B = ([[Rational(rng.choice([0, 0, rng.randint(-3, 3)]),
+                           rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)] for _ in range(2))
+        want = [[sum((A[i][k] * B[k][j] - B[i][k] * A[k][j]
+                      for k in range(n)), F(0)) for j in range(n)]
+                for i in range(n)]
+        got = _commutator(A, B, zero)
+        assert got == want
+        assert all(type(x) is Rational for row in got for x in row)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import flagproj as fp, hochschild as hh
+from qflag.coord import CoordElem
 from qflag.qscalar import FixedField, SymbolicField
 
 
@@ -256,6 +257,14 @@ def test_eta_guards(a1):
         hh.eta_value(a1, 2, ch)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3, True])
+def test_expected_pairing_rejects_bad_root_index(a2s2, bad):
+    """The closed form used to read 0 at a = 0, s^4 at a = -1 (from
+    lam[a - 1]) and raise a bare IndexError at a = 3."""
+    with pytest.raises(ValueError, match="out of range"):
+        hh.expected_pairing(a2s2, bad)
+
+
 # -- cocycle property -----------------------------------------------------------
 
 
@@ -284,3 +293,84 @@ def test_cocycle_fails_outside_core_subalgebra(a1):
     # hand-computed: q^-1 - q^-2 and q^-1 - 1 respectively
     assert got_twisted == q(-1) - q(-2)
     assert got_plain == q(-1) - a1.field.one
+
+
+# -- per-leg evaluation against a term-by-term reference --------------------------
+# The chain routines evaluate each distinct leg object once per call; these
+# references evaluate every leg of every term afresh.
+
+
+def _ref_boundary(ch, twist):
+    n = ch.degree
+    out = []
+    for c, legs in ch.terms:
+        for i in range(n):
+            out.append((-c if i % 2 else c,
+                        legs[:i] + (legs[i] * legs[i + 1],) + legs[i + 2:]))
+        last = legs[n].theta() if twist == "theta" else legs[n]
+        out.append((-c if n % 2 else c, (last * legs[0],) + legs[1:n]))
+    return hh.Chain(ch.alg, n - 1, out)
+
+
+def _ref_normalize(ch):
+    unit = ch.alg.unit()
+    return hh.Chain(ch.alg, ch.degree, [
+        (c, (legs[0],) + tuple(l - unit * l.counit() for l in legs[1:]))
+        for c, legs in ch.terms])
+
+
+def _ref_counit(ch):
+    tot = ch.alg.field.zero
+    for c, legs in ch.terms:
+        for l in legs:
+            c = c * l.counit()
+        tot = tot + c
+    return tot
+
+
+def _ref_eta(ctx, a, ch):
+    tot = ctx.field.zero
+    for c, (a0, a1, a2) in ch.terms:
+        tot = tot + (c * a0.counit() * a1.act_left(("F", a)).counit()
+                     * a2.act_left(("E", a)).counit())
+    return tot
+
+
+def _shared_leg_chain(ctx):
+    """A degree-3 chain in which the leg x occurs in several terms and
+    positions, next to x2, an equal but distinct object."""
+    x, y = ctx.phat(0, 1), ctx.phat(1, 0)
+    x2 = CoordElem(x.alg, x.terms)
+    z = ctx.phat(0, 0) * ctx.phat(1, 1)
+    q, r = ctx.field.q_power, ctx.field.from_fraction
+    return hh.Chain(ctx.alg, 3, [
+        (r(1), (x, y, x, z)),
+        (q(1), (y, x, x2, x)),
+        (-r(3), (x2, x, y, y)),
+        (q(-1) * r(2), (z, x2, x, x2)),
+        (r(1), (x, x, x, x))])
+
+
+@pytest.fixture(scope="module", params=["a1", "a2s2", "b2s1_half"])
+def per_leg_ctx(request):
+    if request.param == "b2s1_half":
+        return fp.flag_context("B", 2, (1,), FixedField(Q(1, 2)))
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("twist", ["theta", "identity"])
+def test_chain_routines_match_term_by_term_reference(per_leg_ctx, twist):
+    ctx = per_leg_ctx
+    for ch in (hh.idempotent_cycle(ctx), _shared_leg_chain(ctx)):
+        z = hh.twisted_boundary(ch, twist)
+        ref_z = _ref_boundary(ch, twist)
+        assert z.canonical() == ref_z.canonical()
+        assert hh.normalize(z).canonical() == _ref_normalize(z).canonical()
+        assert z.counit_value() == _ref_counit(ref_z)
+        if z.degree == 2:
+            for a in range(1, ctx.rs.rank + 1):
+                assert hh.eta_value(ctx, a, z) == _ref_eta(ctx, a, ref_z)
+        if ch.degree == 2:
+            assert ch.counit_value() == _ref_counit(ch)
+            for a in range(1, ctx.rs.rank + 1):
+                assert hh.eta_value(ctx, a, ch) == _ref_eta(ctx, a, ch)

@@ -5,14 +5,17 @@ implementation: it evaluates the defining ratio (q^dn - q^-dn)/(q^d - q^-d)
 in plain Fraction arithmetic at concrete q.
 """
 
+import operator
 from fractions import Fraction as Q
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflag.qscalar import FixedField, QScalar, SymbolicField, classical_field
+from qflag.qscalar import (FixedField, QScalar, Rational, SymbolicField,
+                           classical_field)
 
 SYM = SymbolicField()
 
@@ -240,3 +243,84 @@ def test_q_power_symbolic_roundtrip():
         assert SYM.q_power(e).evaluate(Q(1, 2)) == Q(1, 2) ** e
     with pytest.raises(ValueError):
         SYM.q_power(Q(1, 3))
+
+
+# -- Rational, the FixedField scalar, against plain Fraction -----------------------
+
+
+def _rational_operands(seed):
+    """Seeded (value, kind) operands of either sign, zero and large
+    numerators among them, each as a Rational, a plain Fraction and an int
+    (the int is the numerator alone)."""
+    rng = Random(seed)
+    out = []
+    for _ in range(30):
+        n = rng.choice([0, rng.randint(-12, 12), rng.randint(-10**30, 10**30)])
+        d = rng.choice([1, rng.randint(1, 12), rng.randint(1, 10**20)])
+        out += [Rational(n, d), Q(n, d), n]
+    return out
+
+
+def _same_fraction(got, want):
+    """got is want's value, in lowest terms, with the same string, hash,
+    order and truth value."""
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                 want.denominator)
+    assert got == want and not got < want and not want < got
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+    assert bool(got) is bool(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rational_arithmetic_matches_fraction(seed):
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    operands = _rational_operands(seed)
+    for a in operands[::3]:
+        for b in operands:
+            for x, y in ((a, b), (b, a)):
+                for op in ops:
+                    if op is operator.truediv and not y:
+                        with pytest.raises(ZeroDivisionError):
+                            op(x, y)
+                        continue
+                    got, want = op(x, y), op(Q(x), Q(y))
+                    _same_fraction(got, want)
+                    # Rational with Rational or int stays Rational; a plain
+                    # Fraction operand gives Fraction's own result type
+                    fast = type(b) is not Q
+                    assert type(got) is (Rational if fast else Q)
+                    assert (got < y) == (want < y)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rational_unary_and_power_match_fraction(seed):
+    for a in _rational_operands(seed)[::3]:
+        for got, want in ((-a, -Q(a)), (a ** 0, Q(a) ** 0),
+                          (a ** 3, Q(a) ** 3)) + (
+                ((a ** -2, Q(a) ** -2),) if a else ()):
+            _same_fraction(got, want)
+            assert type(got) is Rational
+        assert bool(a) is bool(a.numerator)
+        assert {a: 1}[Q(a)] == 1
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                a ** -1
+
+
+def test_fixed_field_elements_are_rational():
+    for field in (FixedField(Q(1, 2)), FixedField(Q(2, 3)), classical_field()):
+        for x in (field.zero, field.one, field.q0, field.from_fraction(Q(3, 7)),
+                  field.from_fraction(5), field.q_power(-3), field.q_power(0),
+                  field.q_int(3, 2), field.q_int(-2)):
+            assert type(x) is Rational
+
+
+def test_q_power_memo_is_per_field():
+    half, two_thirds = FixedField(Q(1, 2)), FixedField(Q(2, 3))
+    for _ in range(2):
+        for e in (-2, 0, 3):
+            assert half.q_power(e) == Q(1, 2) ** e
+            assert two_thirds.q_power(e) == Q(2, 3) ** e
+    assert half.q_power(3) is half.q_power(3)
+    assert half.q_power(3) != two_thirds.q_power(3)

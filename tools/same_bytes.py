@@ -32,6 +32,7 @@ SUITES = [
     ("G", 2, (2,), ("1/2",), None),
     ("A", 2, (1, 2), ("1/2",), None),
     ("C", 2, (1,), ("2/3",), None),
+    ("A", 2, (2,), ("2/3", "3/5"), None),
     ("A", 1, (), None, 2),
     ("A", 2, (2,), None, 9),
 ]
