@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qflag import cartan
+from qflag import Memo, cartan
 from qflag.coord import DEFAULT_CAP
 from qflag.flagproj import FlagContext, flag_context
-from qflag.hochschild import PerLeg, idempotent_cycle
+from qflag.hochschild import idempotent_cycle
 from qflag.qscalar import classical_field
 from qflag.repn import hw_module
 
@@ -200,9 +200,9 @@ def hkr_matrix(kk: ClassicalKahler):
 
     xs = [(kk.f[alpha], neg(kk.e[alpha])) for alpha in roots]
     ys = [(kk.e[beta], neg(kk.f[beta])) for beta in roots]
-    eps = PerLeg(lambda l: l.counit())
-    dx = PerLeg(lambda l: [_leg_derivative(l, *X) for X in xs])
-    dy = PerLeg(lambda l: [_leg_derivative(l, *Y) for Y in ys])
+    eps = Memo(lambda l: l.counit())
+    dx = Memo(lambda l: [_leg_derivative(l, *X) for X in xs])
+    dy = Memo(lambda l: [_leg_derivative(l, *Y) for Y in ys])
     out = [[kk.ctx.field.zero] * len(roots) for _ in roots]
     for coeff, (a0, a1, a2) in cyc.terms:
         s = coeff * eps[a0]

@@ -112,8 +112,8 @@ Closures run on integers wherever the scalars allow:
   tables depend only on its conjugation flag, so pi(gen) on a key of a word,
   or its transpose, is a function of (word, gen, key, dual) alone.  A
   word's _Space owns its slot data, key indices, generator action and
-  index -> weight table; each (word, gen, dual) has an _ActionTable from
-  a key's index i to the action encoded for the span kernel,
+  index -> weight table; each (word, gen, dual) has an offset table, a
+  Memo from a key's index i to the action encoded for the span kernel,
   (den, ((dk, num), ...)): image index i + dk, coefficient num / den.
   Both fill entries on first lookup, never for the whole space (a length-4
   word of a 26-dimensional module has 456,976 keys), and neither refers
@@ -152,11 +152,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import prod
 from operator import add, mul
 
-from qflag import cartan
+from qflag import Memo, cartan
 from qflag.lin import kernel, span_basis
 from qflag.repn import CapExceeded, HWModule
 
@@ -236,9 +236,11 @@ def _transpose(cols, dim):
 class CoordAlgebra:
     """The matrix coefficients of one module m and of its conjugate, with
     the action data of the plain and the conjugated slot (slots[barred]),
-    per-word tensor spaces (space), offset tables and Haar data shared by
-    every check on the algebra; nothing it owns refers back to it.  cap
-    bounds every zero-test closure on it."""
+    and Memos shared by every check on the algebra: per-word tensor spaces
+    (space), offset tables per (word, gen, dual) (_action_tables, transposed
+    when dual is set; see the module docstring) and Haar data per word
+    (_haar_data); nothing it owns refers back to it.  cap bounds every
+    zero-test closure on it."""
 
     def __init__(self, m: HWModule, cap=DEFAULT_CAP):
         self.m = m
@@ -246,10 +248,11 @@ class CoordAlgebra:
         self.field = m.field
         self.cap = cap
         self.slots = (_SlotData(m, False), _SlotData(m, True))
-        self._spaces = {}
-        self._action_tables = {}
-        self._haar_cache = {}
         self._kernel = kernel(m.field)
+        self._spaces = Memo(partial(_Space, self.slots, m.rs.rank, m.field))
+        self._action_tables = Memo(partial(
+            _offset_table, self._spaces, self._kernel.encode_action))
+        self._haar_data = Memo(partial(_haar_rows, m.rs, self._spaces))
 
     # -- elements -------------------------------------------------------------
 
@@ -262,77 +265,21 @@ class CoordAlgebra:
 
     def mc(self, i, j, barred=False):
         """The matrix coefficient sending X to (pi(X))_ij on the module, or
-        on its conjugate if barred; basis indices are 0-based."""
+        on its conjugate if barred; basis indices are 0-based ints below
+        the module's dimension."""
+        for x in (i, j):
+            if (not isinstance(x, int) or isinstance(x, bool)
+                    or not 0 <= x < self.m.dim):
+                raise ValueError(f"basis index {x!r} out of range")
         one = self.field.one
         word = (bool(barred),)
         return CoordElem(self, ((word, {(i,): one}, {(j,): one}),))
 
     def space(self, word) -> _Space:
         """The tensor space of the word, cached per word."""
-        out = self._spaces.get(word)
-        if out is None:
-            out = self._spaces[word] = _Space(
-                [self.slots[b] for b in word], self.rs.rank, self.field)
-        return out
-
-    def _apply_gen_vec(self, word, gen, vec, dual=False):
-        zero = self.field.zero
-        action = self.space(word).action
-        out = {}
-        for key, c in vec.items():
-            for nk, f in action(gen, key, dual):
-                nv = out.get(nk, zero) + c * f
-                if nv:
-                    out[nk] = nv
-                else:
-                    out.pop(nk, None)
-        return out
-
-    def _action_table(self, word, gen, dual) -> _ActionTable:
-        """The offset table of gen on the word (transposed when dual is
-        set), cached per (word, gen, dual); see the module docstring."""
-        tk = (word, gen, dual)
-        table = self._action_tables.get(tk)
-        if table is None:
-            table = self._action_tables[tk] = _ActionTable(
-                self.space(word), gen, dual, self._kernel.encode_action)
-        return table
+        return self._spaces[word]
 
     # -- invariant integral -----------------------------------------------------
-
-    def _haar_data(self, word):
-        """The vectors c_m = F_i e_k, over the keys k of weight alpha_i, and
-        a span basis of the rows E c_m + tag m (E = (E_1, ..., E_rank));
-        cached per word.  E-image keys are (i, key) with i >= 1 and tags
-        (0, m), so every tag sorts below every E-image key and elimination
-        pivots on the E-image part first."""
-        data = self._haar_cache.get(word)
-        if data is not None:
-            return data
-        rank = self.rs.rank
-        one = self.field.one
-        alphas = {cartan.root_to_fund(self.rs, cartan.simple_root(self.rs, i)):
-                  i for i in range(1, rank + 1)}
-        cs = []
-        basis = span_basis(self.field)
-        space = self.space(word)
-        for k in map(space.key, range(space.size)):
-            i = alphas.get(space.weight(k))
-            if i is None:
-                continue
-            c = self._apply_gen_vec(word, ("F", i), {k: one})
-            if c:
-                row = self._raising_image(word, c)
-                row[(0, len(cs))] = one
-                basis.insert(row)
-                cs.append(c)
-        data = self._haar_cache[word] = (cs, basis)
-        return data
-
-    def _raising_image(self, word, vec):
-        """E vec for E = (E_1, ..., E_rank), keyed (i, key)."""
-        return {(i, k): c for i in range(1, self.rs.rank + 1)
-                for k, c in self._apply_gen_vec(word, ("E", i), vec).items()}
 
     def haar(self, elem: CoordElem):
         """The invariant integral h.  For each term (word, f, v), with t the
@@ -361,12 +308,12 @@ class CoordAlgebra:
         zero_wt = (0,) * self.rs.rank
         total = field.zero
         for word, fun, vec in elem.terms:
-            weight = self.space(word).weight
-            t = {k: c for k, c in vec.items() if weight(k) == zero_wt}
+            space = self.space(word)
+            t = {k: c for k, c in vec.items() if space.weight(k) == zero_wt}
             if not t:
                 continue
-            cs, basis = self._haar_data(word)
-            r = basis.reduce(self._raising_image(word, t))
+            cs, basis = self._haar_data[word]
+            r = basis.reduce(space.raising_image(t))
             if any(k[0] for k in r):
                 raise AssertionError("zero-weight decomposition failed")
             total = total + _pair(field, fun, t)
@@ -623,7 +570,7 @@ class CoordAlgebra:
         image = basis.image
         cap = self.cap
         nb = codec.nb
-        actions = [([self._action_table(w[s], gen, dual)
+        actions = [([self._action_tables[w[s], gen, dual]
                      for w in codec.words], codec.strides[s], codec.radix[s])
                    for s, gen in gens]
         queue = []
@@ -684,16 +631,16 @@ class _Radix:
 
 
 class _Space(dict):
-    """The tensor space of a word of module slots: slot data, dims, place
-    values of the lexicographic index sum_j key[j] * places[j], and the
-    generator action; as a dict, index -> weight of its key, filled on
-    lookup."""
+    """The tensor space of a word of module slots (slot_data[barred] the
+    data of each slot): slot data, dims, place values of the lexicographic
+    index sum_j key[j] * places[j], and the generator action; as a dict,
+    index -> weight of its key, filled on lookup."""
 
     __slots__ = ("slots", "rank", "field", "dims", "places", "size")
 
-    def __init__(self, slots, rank, field):
+    def __init__(self, slot_data, rank, field, word):
         super().__init__()
-        self.slots = slots
+        slots = self.slots = [slot_data[b] for b in word]
         self.rank = rank
         self.field = field
         self.dims = tuple(sd.dim for sd in slots)
@@ -752,27 +699,62 @@ class _Space(dict):
         exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
         return [(key, q_power(exp))]
 
+    def apply(self, gen, vec, dual=False):
+        """pi(gen) applied to the sparse vector vec, or with dual=True the
+        transposed action on the sparse functional vec."""
+        zero = self.field.zero
+        out = {}
+        for key, c in vec.items():
+            for nk, f in self.action(gen, key, dual):
+                nv = out.get(nk, zero) + c * f
+                if nv:
+                    out[nk] = nv
+                else:
+                    out.pop(nk, None)
+        return out
 
-class _ActionTable(dict):
-    """Offset table of gen on a space (transposed when dual is set): index
-    i -> the encoded action on the key of index i (see the module
-    docstring), filled on lookup."""
+    def raising_image(self, vec):
+        """E vec for E = (E_1, ..., E_rank), keyed (i, key)."""
+        return {(i, k): c for i in range(1, self.rank + 1)
+                for k, c in self.apply(("E", i), vec).items()}
 
-    __slots__ = ("space", "gen", "dual", "encode")
 
-    def __init__(self, space, gen, dual, encode):
-        super().__init__()
-        self.space = space
-        self.gen = gen
-        self.dual = dual
-        self.encode = encode
+def _offset_table(spaces, encode, key):
+    """The offset table of gen on the word, for key (word, gen, dual): a
+    Memo from index i to the encoded action on the key of index i
+    (transposed when dual is set; see the module docstring)."""
+    word, gen, dual = key
+    return Memo(partial(_encoded_action, spaces[word], gen, dual, encode))
 
-    def __missing__(self, i):
-        space = self.space
-        value = self[i] = self.encode([
-            (space.index(nk) - i, c)
-            for nk, c in space.action(self.gen, space.key(i), self.dual)])
-        return value
+
+def _encoded_action(space, gen, dual, encode, i):
+    return encode([(space.index(nk) - i, c)
+                   for nk, c in space.action(gen, space.key(i), dual)])
+
+
+def _haar_rows(rs, spaces, word):
+    """The vectors c_m = F_i e_k, over the keys k of weight alpha_i, and a
+    span basis of the rows E c_m + tag m (E = (E_1, ..., E_rank)) on the
+    word's space.  E-image keys are (i, key) with i >= 1 and tags (0, m),
+    so every tag sorts below every E-image key and elimination pivots on
+    the E-image part first."""
+    space = spaces[word]
+    one = space.field.one
+    alphas = {cartan.root_to_fund(rs, cartan.simple_root(rs, i)): i
+              for i in range(1, rs.rank + 1)}
+    cs = []
+    basis = span_basis(space.field)
+    for k in map(space.key, range(space.size)):
+        i = alphas.get(space.weight(k))
+        if i is None:
+            continue
+        c = space.apply(("F", i), {k: one})
+        if c:
+            row = space.raising_image(c)
+            row[(0, len(cs))] = one
+            basis.insert(row)
+            cs.append(c)
+    return cs, basis
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +889,7 @@ class CoordElem:
         alg = self.alg
         out = []
         for w, f, v in self.terms:
-            nv = alg._apply_gen_vec(w, gen, v)
+            nv = alg.space(w).apply(gen, v)
             if nv:
                 out.append((w, f, nv))
         return CoordElem(alg, out)
@@ -917,7 +899,7 @@ class CoordElem:
         alg = self.alg
         out = []
         for w, f, v in self.terms:
-            nf = alg._apply_gen_vec(w, gen, f, dual=True)
+            nf = alg.space(w).apply(gen, f, dual=True)
             if nf:
                 out.append((w, nf, v))
         return CoordElem(alg, out)

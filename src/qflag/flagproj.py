@@ -30,8 +30,9 @@ action.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
-from qflag import cartan
+from qflag import Memo, cartan
 from qflag.coord import DEFAULT_CAP, CoordAlgebra, ZeroCertificate
 from qflag.repn import hw_module
 
@@ -41,11 +42,11 @@ class FlagContext:
     one (root system, parabolic subset, scalar field) choice.  cap bounds
     the defining module and, as its algebra's cap, every zero test.
 
-    The matrix-unit cores mu[a,b][i,j] (phat included, as mu[0,0]) are
-    memoized per context on (a, b, i, j), at most dim^4 one-term elements.
-    Sharing them is safe because elements are immutable values: every
-    CoordElem operation builds new term dicts and none changes its
-    operands."""
+    The matrix-unit cores mu[a,b][i,j] (phat included, as mu[0,0]) are a
+    Memo on (a, b, i, j) per context, at most dim^4 one-term elements; its
+    fn holds the algebra, not the context.  Sharing them is safe because
+    elements are immutable values: every CoordElem operation builds new
+    term dicts and none changes its operands."""
 
     def __init__(self, rs, subset, field, cap=DEFAULT_CAP):
         self.rs = rs
@@ -59,7 +60,7 @@ class FlagContext:
         self.norms = self.m.norms
         self.wexp = tuple(self.alg.slots[False].r2exp)
         self.trace_exp = self.wexp[0]  # basis vector 0 is the highest
-        self._cores = {}
+        self._cores = Memo(partial(_core, self.alg))
 
     # -- generators -------------------------------------------------------------
 
@@ -69,12 +70,12 @@ class FlagContext:
     def munit(self, a, b, i, j):
         """Core of the (a,b) matrix unit of the coefficient block;
         memoized (see the class docstring)."""
-        key = (a, b, i, j)
-        core = self._cores.get(key)
-        if core is None:
-            core = self._cores[key] = (
-                self.alg.mc(i, b) * self.alg.mc(j, a, barred=True))
-        return core
+        return self._cores[a, b, i, j]
+
+
+def _core(alg, key):
+    a, b, i, j = key
+    return alg.mc(i, b) * alg.mc(j, a, barred=True)
 
 
 def flag_context(family, rank, subset, field,
@@ -188,6 +189,9 @@ def verify_matrix_units(ctx: FlagContext, indices=None,
     entry (i,j) does not depend on (a,b,c,d), so whole families share one
     raising and one lowering closure (CoordAlgebra.batch_zero_test).
     """
+    unknown = set(laws) - {"product", "star", "trace"}
+    if unknown:
+        raise ValueError(f"unknown matrix-unit laws {sorted(unknown)}")
     idx = list(indices) if indices is not None else list(range(ctx.dim))
     out = {}
     if "product" in laws:

@@ -38,21 +38,12 @@ from __future__ import annotations
 
 from random import Random
 
-from qflag import cartan
+from qflag import Memo, cartan
 from qflag.flagproj import FlagContext
 
-
-class PerLeg(dict):
-    """fn(key) memoized per key for one call of a chain routine.  Keys are
-    leg objects (or tuples of them): CoordElem hashes by identity and is
-    immutable, so a leg that occurs in many terms is evaluated once."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+# The chain routines keep a Memo per call, keyed by leg objects (or tuples
+# of them): CoordElem hashes by identity and is immutable, so a leg that
+# occurs in many terms is evaluated once.
 
 
 class Chain:
@@ -77,7 +68,7 @@ class Chain:
 
     def counit_value(self):
         """eps applied to every leg, summed."""
-        eps = PerLeg(lambda l: l.counit())
+        eps = Memo(lambda l: l.counit())
         tot = self.alg.field.zero
         for c, legs in self.terms:
             v = c
@@ -95,8 +86,8 @@ def twisted_boundary(ch: Chain, twist="theta") -> Chain:
     if ch.degree < 1:
         raise ValueError("boundary needs degree >= 1")
     n = ch.degree
-    prod = PerLeg(lambda pair: pair[0] * pair[1])
-    theta = PerLeg(lambda l: l.theta())
+    prod = Memo(lambda pair: pair[0] * pair[1])
+    theta = Memo(lambda l: l.theta())
     out = []
     for c, legs in ch.terms:
         for i in range(n):
@@ -117,7 +108,7 @@ def normalize(ch: Chain) -> Chain:
         e = l.counit()
         return l - unit * e if e else l
 
-    red = PerLeg(reduced)
+    red = Memo(reduced)
     out = [(c, legs[:1] + tuple(red[l] for l in legs[1:]))
            for c, legs in ch.terms]
     return Chain(ch.alg, ch.degree, out)
@@ -181,11 +172,10 @@ def eta_value(ctx: FlagContext, a, ch: Chain):
     """eta_a evaluated on a degree-2 chain."""
     if ch.degree != 2:
         raise ValueError("eta pairs with degree-2 chains")
-    if not 1 <= a <= ctx.rs.rank:
-        raise ValueError(f"simple root index {a} out of range")
-    eps = PerLeg(lambda l: l.counit())
-    eps_f = PerLeg(lambda l: l.act_left(("F", a)).counit())
-    eps_e = PerLeg(lambda l: l.act_left(("E", a)).counit())
+    cartan.simple_root(ctx.rs, a)  # raises ValueError for a bad index
+    eps = Memo(lambda l: l.counit())
+    eps_f = Memo(lambda l: l.act_left(("F", a)).counit())
+    eps_e = Memo(lambda l: l.act_left(("E", a)).counit())
     tot = ctx.field.zero
     for c, (a0, a1, a2) in ch.terms:
         v = c * eps[a0]

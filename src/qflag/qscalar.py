@@ -36,8 +36,11 @@ classical mode needs no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd as _igcd
 from math import lcm as _ilcm
+
+from qflag import Memo
 
 Q = Fraction
 
@@ -519,8 +522,8 @@ class SymbolicField:
 class FixedField:
     """Scalars with q fixed at a rational q0 in (0, 1]; elements are
     Rational.  q0 = 1 is the classical degeneration (all q-integers become
-    ordinary integers via the power-sum form).  Powers of q0 are memoized
-    per field."""
+    ordinary integers via the power-sum form).  Powers of q0 are a Memo per
+    field (_powers); a fractional exponent raises and stores nothing."""
 
     zero = Rational(0)
     one = Rational(1)
@@ -534,18 +537,13 @@ class FixedField:
         self.q0 = q0
         self.is_classical = q0 == 1
         self.name = "classical" if self.is_classical else f"q={q0}"
-        self._powers = {}
+        self._powers = Memo(partial(_fixed_power, q0))
 
     def from_fraction(self, r):
         return _as_rational(r)
 
     def q_power(self, e):
-        p = self._powers.get(e)
-        if p is None:
-            if type(e) is not int and e != int(e):
-                raise ValueError(f"q^{e}: fractional powers need symbolic mode")
-            p = self._powers[e] = self.q0 ** int(e)
-        return p
+        return self._powers[e]
 
     def q_int(self, n, d=1):
         if n < 0:
@@ -555,6 +553,12 @@ class FixedField:
 
     def __repr__(self):
         return f"FixedField({self.q0})"
+
+
+def _fixed_power(q0, e):
+    if type(e) is not int and e != int(e):
+        raise ValueError(f"q^{e}: fractional powers need symbolic mode")
+    return q0 ** int(e)
 
 
 def classical_field():

@@ -27,7 +27,7 @@ Serre checks test E on its own.
 
 from __future__ import annotations
 
-from qflag import cartan
+from qflag import Memo, cartan
 
 
 class CapExceeded(Exception):
@@ -63,62 +63,51 @@ class HWModule:
             cartan.root_to_fund(rs, cartan.simple_root(rs, i))
             for i in range(1, rank + 1)]
 
-        wt_memo = {(): self.lam}
+        wt = Memo(lambda word: tuple(
+            r - a for r, a in zip(wt[word[1:]], alpha_fund[word[0]])))
+        wt[()] = self.lam
 
-        def wt(word):
-            out = wt_memo.get(word)
-            if out is None:
-                rest = wt(word[1:])
-                af = alpha_fund[word[0]]
-                out = tuple(r - a for r, a in zip(rest, af))
-                wt_memo[word] = out
-            return out
-
-        actE_memo = {}
-
-        def actE(i, word):
-            """E_i applied to the word, as {word: coeff} in the Verma span."""
+        def e_image(key):
+            """E_i applied to the word, for key (i, word), as {word: coeff}
+            in the Verma span."""
+            i, word = key
             if not word:
                 return {}
-            key = (i, word)
-            out = actE_memo.get(key)
-            if out is not None:
-                return out
             j, rest = word[0], word[1:]
             out = {}
-            for w2, c in actE(i, rest).items():
+            for w2, c in actE[i, rest].items():
                 k2 = (j,) + w2
                 out[k2] = out.get(k2, zero) + c
             if i == j:
                 # <wt(rest), alpha_i^vee> is the i-th fundamental coordinate
-                m = wt(rest)[i - 1]
+                m = wt[rest][i - 1]
                 c2 = field.q_int(m, rs.d[i - 1])
                 out[rest] = out.get(rest, zero) + c2
-            out = {w: c for w, c in out.items() if c}
-            actE_memo[key] = out
-            return out
+            return {w: c for w, c in out.items() if c}
 
-        pair_memo = {}
+        actE = Memo(e_image)
+
+        def pair_words(key):
+            """The form (u, w), for key (u, w) non-empty words of one
+            length and weight."""
+            u, w = key
+            i, u2 = u[0], u[1:]
+            tot = zero
+            for w2, c in actE[i, w].items():
+                p = pair(u2, w2)
+                if p:
+                    tot = tot + c * p
+            exp = rs.d[i - 1] * wt[w][i - 1]  # (wt w, alpha_i)
+            return field.q_power(-exp) * tot
+
+        pairs = Memo(pair_words)
 
         def pair(u, w):
             if not u:
                 return one if not w else zero
-            if len(u) != len(w) or wt(u) != wt(w):
+            if len(u) != len(w) or wt[u] != wt[w]:
                 return zero
-            key = (u, w)
-            out = pair_memo.get(key)
-            if out is not None:
-                return out
-            i, u2 = u[0], u[1:]
-            tot = zero
-            for w2, c in actE(i, w).items():
-                p = pair(u2, w2)
-                if p:
-                    tot = tot + c * p
-            exp = rs.d[i - 1] * wt(w)[i - 1]  # (wt w, alpha_i)
-            out = field.q_power(-exp) * tot
-            pair_memo[key] = out
-            return out
+            return pairs[u, w]
 
         def pair_combo(c1, c2):
             tot = zero
@@ -149,7 +138,7 @@ class HWModule:
         while cand:
             kept = []
             for w in cand:
-                mu = wt(w)
+                mu = wt[w]
                 coords, r = project({w: one}, mu)
                 if not r:
                     continue
@@ -163,7 +152,7 @@ class HWModule:
                 norms.append(r)
                 kept.append(w)
             cand = sorted({(i,) + w for w in kept for i in range(1, rank + 1)},
-                          key=lambda w: (wt(w), w))
+                          key=lambda w: (wt[w], w))
 
         if len(combos) != expected_dim:
             raise AssertionError(
@@ -192,8 +181,8 @@ class HWModule:
         self._cols_E = {i: [tuple(col) for col in cols]
                         for i, cols in cols_E.items()}
         self._cols_F = cols_F
-        # each recursive closure holds itself in a cell: break the cycles
-        del wt, actE, pair
+        # each recursive Memo holds itself through a cell: break the cycles
+        del wt, actE, pair, pairs
 
     # -- access ---------------------------------------------------------------
 

@@ -595,6 +595,17 @@ def test_mixed_algebra_guard():
         alg1.mc(0, 0) * alg2.mc(0, 0)
 
 
+@pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (-1, 0), (0, -1), (True, 0),
+                                 (0, False), (1.0, 0), (0, "1")])
+def test_mc_rejects_bad_basis_index(a1, i, j):
+    """Basis indices are ints in range(dim), bools excluded.  Radix keys
+    used to alias an out-of-range index silently: on A1 mc(0, 2) tested as
+    zero."""
+    for barred in (False, True):
+        with pytest.raises(ValueError, match="out of range"):
+            a1.mc(i, j, barred)
+
+
 # -- offset-table cache --------------------------------------------------------
 
 
@@ -603,7 +614,7 @@ def test_mixed_algebra_guard():
     ((2,), SymbolicField()),
 ], ids=["A2-S0-q12", "A2-S2-symbolic"])
 def test_action_table_cache_matches_fresh_algebra(subset, field):
-    """Every _action_table(word, gen, dual) entry, on an algebra whose
+    """Every _action_tables[word, gen, dual] entry, on an algebra whose
     tables already hold every other entry, is what a fresh algebra
     computes, so the table cache keeps the word (with its barred flags),
     the generator, the key index and dual apart."""
@@ -619,11 +630,11 @@ def test_action_table_cache_matches_fresh_algebra(subset, field):
              for i in range(m.dim ** len(w))
              for g in gens for dual in (False, True)]
     for w, g, i, dual in calls:
-        alg._action_table(w, g, dual)[i]
+        alg._action_tables[w, g, dual][i]
     for w, g, i, dual in calls:
         fresh = CoordAlgebra(m)
-        assert alg._action_table(w, g, dual)[i] == \
-            fresh._action_table(w, g, dual)[i], (w, g, i, dual)
+        assert alg._action_tables[w, g, dual][i] == \
+            fresh._action_tables[w, g, dual][i], (w, g, i, dual)
 
 
 # -- radix keys and offset tables ---------------------------------------------
@@ -672,7 +683,7 @@ def test_offset_tables_match_gen_action(family, rank, subset, field):
         for gen in [(kind, i) for kind in ("E", "F")
                     for i in range(1, rank + 1)]:
             for dual in (False, True):
-                table = alg._action_table(word, gen, dual)
+                table = alg._action_tables[word, gen, dual]
                 space = alg.space(word)
                 for i in range(m.dim ** len(word)):
                     den, pairs = table[i]
@@ -712,8 +723,9 @@ def test_suites_leave_no_cyclic_garbage(family, rank, subset, q, cap, drop):
 
 
 def test_dropped_context_frees_its_algebra_and_module():
-    """After zero tests have filled its spaces and offset tables, deleting
-    a context frees its algebra and module at once, with the cyclic
+    """After zero tests have filled its spaces and offset tables, and
+    lookups its matrix-unit cores, Haar data and powers of q, deleting a
+    context frees its algebra, module and field at once, with the cyclic
     collector off."""
     from qflag.flagproj import flag_context, verify_idempotent
     from qflag.hochschild import verify_cycle
@@ -723,9 +735,13 @@ def test_dropped_context_frees_its_algebra_and_module():
         ctx = flag_context("A", 1, (), FixedField(Q(1, 2)))
         assert all(verify_idempotent(ctx).values())
         assert verify_cycle(ctx)[0]
-        assert ctx.alg._action_tables
-        refs = [weakref.ref(ctx.alg), weakref.ref(ctx.m)]
+        assert ctx.munit(0, 1, 1, 0) is ctx.munit(0, 1, 1, 0)
+        assert ctx.field.q_power(3) == Q(1, 8)
+        assert ctx.alg.haar(ctx.phat(0, 0)) == Q(1, 5)
+        assert ctx.alg._action_tables and ctx.alg._haar_data
+        refs = [weakref.ref(ctx.alg), weakref.ref(ctx.m),
+                weakref.ref(ctx.field)]
         del ctx
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()

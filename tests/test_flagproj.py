@@ -209,6 +209,21 @@ def test_cap_holds_on_a_cached_closure():
             fp.verify_idempotent(ctx)
 
 
+@pytest.mark.parametrize("law", ["product", "star", "trace"])
+def test_matrix_units_reject_an_index_outside_the_module(a1, law):
+    """An index outside range(dim) used to raise a bare IndexError."""
+    with pytest.raises(ValueError, match="out of range"):
+        fp.verify_matrix_units(a1, indices=[0, 2], laws=(law,))
+
+
+@pytest.mark.parametrize("laws", [("prodct",), ("product", "Trace"), "star"])
+def test_matrix_units_reject_unknown_law_names(a1, laws):
+    """A misspelt law name used to return {}, which reads as nothing
+    failed."""
+    with pytest.raises(ValueError, match="unknown matrix-unit laws"):
+        fp.verify_matrix_units(a1, laws=laws)
+
+
 def test_matrix_units_fall_back_to_families_on_the_cap(a2s2):
     """The families with a != d share their functionals and are tested
     together, with a raising closure of dimension 72.  At cap 40 that

@@ -257,6 +257,14 @@ def test_eta_guards(a1):
         hh.eta_value(a1, 2, ch)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+def test_eta_value_rejects_a_non_int_root_index(a2s2, bad):
+    """eta_value used to read True and 1.0 as a = 1, giving s^2 on C(P),
+    and raise a bare KeyError at 1.5."""
+    with pytest.raises(ValueError, match="out of range"):
+        hh.eta_value(a2s2, bad, hh.idempotent_cycle(a2s2))
+
+
 @pytest.mark.parametrize("bad", [0, -1, 3, True])
 def test_expected_pairing_rejects_bad_root_index(a2s2, bad):
     """The closed form used to read 0 at a = 0, s^4 at a = -1 (from

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflag import Memo
 from qflag.qscalar import (FixedField, QScalar, Rational, SymbolicField,
                            classical_field)
 
@@ -324,3 +325,24 @@ def test_q_power_memo_is_per_field():
             assert two_thirds.q_power(e) == Q(2, 3) ** e
     assert half.q_power(3) is half.q_power(3)
     assert half.q_power(3) != two_thirds.q_power(3)
+
+
+def test_memo_runs_fn_once_per_key():
+    calls = []
+
+    def double(key):
+        calls.append(key)
+        return 2 * key
+
+    memo = Memo(double)
+    assert [memo[k] for k in (1, 2, 1, 2, 3)] == [2, 4, 2, 4, 6]
+    assert calls == [1, 2, 3]
+    assert memo == {1: 2, 2: 4, 3: 6}
+
+
+def test_memo_stores_nothing_when_fn_raises():
+    half = FixedField(Q(1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fractional powers"):
+            half.q_power(Q(1, 2))
+    assert half._powers == {}
