@@ -4,9 +4,9 @@ Golden dumps under tests/golden were derived by hand with the pairing
 recursion (F_i u, w) = q^(-(wt w, alpha_i)) (u, E_i w); e.g. for A1, lam = 2:
 N_1 = (Fv, Fv) = q^0 [2] = [2] and N_2 = q^2 [2] N_1 since (wt FFv, alpha) = -2.
 For B2, lam = (0,1) the same recursion gives norms (1, q, q^3, q^4).  The
-B2 (0,1) and G2 (1,0) at q = 1/2 dumps were written by the construction
-itself; they pin its output for non-simply-laced systems, and the B2 norms
-agree with the hand computation above.
+B2 (0,1), G2 (1,0) at q = 1/2 and F4 (0,0,0,1) at q = 1/2 dumps were
+written by the construction itself; they pin its output for non-simply-laced
+systems up to rank 4, and the B2 norms agree with the hand computation above.
 """
 
 import functools
@@ -60,6 +60,7 @@ def _mzero(m):
     ("A", 2, (1, 0), "symbolic", "module_A2_10_symbolic.txt"),
     ("B", 2, (0, 1), "symbolic", "module_B2_01_symbolic.txt"),
     ("G", 2, (1, 0), "1/2", "module_G2_10_q12.txt"),
+    ("F", 4, (0, 0, 0, 1), "1/2", "module_F4_0001_q12.txt"),
 ])
 def test_golden_module_dumps(letter, rank, lam, q, fname):
     field = SYM if q == "symbolic" else FixedField(Q(q))
