@@ -1,33 +1,47 @@
 """Finite-dimensional highest-weight modules with exact orthogonal bases.
 
-A module V(lam) is built from lowering-operator words applied to the highest
-vector: the contravariant form is computed recursively on words,
+V(lam) is built level by level in its own basis b_0, b_1, ... with b_0 the
+highest vector.  Bases are orthogonal with recorded norms N_k (N_0 = 1),
+never orthonormal, so every matrix identity downstream carries explicit N
+factors instead of square roots and all arithmetic stays rational.  The
+F_i and E_i columns of b_k hold the coordinates of F_i b_k and E_i b_k.
 
-    (F_i u', w) = q^(-(wt w, alpha_i)) * (u', E_i w),
+The candidates of level n are F_i b_k over the b_k of level n-1, sorted by
+weight and then by the label (i,) + word_k, where word_k is the label of
+the candidate b_k was kept from (word_0 = ()).  Adjointness for the compact
+star E_i^* = K_i F_i, (F_i u, w) = q^(-(wt w, alpha_i)) (u, E_i w), and
+E_i F_j = F_j E_i + delta_ij [K_i; 0] give the form on two candidates of
+one weight,
 
-which is adjointness for the compact star E_i^* = K_i F_i, with E_i on words
-expanded by E_i F_j x = F_j E_i x + delta_ij [ (wt x, alpha_i^vee) ]_{q_i} x.
-Bases are orthogonal with recorded norms N_k (N_0 = 1 at the highest
-vector), never orthonormal, so every matrix identity downstream carries
-explicit N factors instead of square roots and all arithmetic stays rational.
+    (F_i b_k, F_j b_m) = q^(-(wt_m - alpha_j, alpha_i)) N_k
+        * (sum_l (E_i)_lm (F_j)_kl
+           + delta_ij delta_km [<wt_m, alpha_i^vee>]_{q_i}),
 
-One routine projects a vector v onto the basis vectors b_l of one weight:
-coordinates c_l = (v, b_l)/N_l and residual (v, v) - sum c_l^2 N_l.  Words
-are taken level by level, by weight and then lexicographically, and w is
-kept iff its residual is non-zero: by bilinearity that is the norm of the
-new basis vector w - sum c_l b_l.  F_i columns are projections of F_i b_k,
-whose residual must vanish.  E_i columns follow from adjointness,
-(E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l.  Reading it on basis
-vectors needs the form to be symmetric, and E_i b_k to lie in the span of
-the basis modulo the radical; the latter holds as the basis has
-Weyl-dimension many orthogonal vectors of non-zero norm, so spans V(lam).
-An E-side completeness check is thus implied; the tests' commutator and
-Serre checks test E on its own.
+which reads only E columns of level n-1 and F columns of level n-2.
+Gram-Schmidt runs per weight: a candidate x gets c_l = (x, b_l)/N_l on the
+earlier b_l of its weight and residual (x, x) - sum c_l^2 N_l, the norm of
+r = x - sum c_l b_l, and is kept as a new basis vector r iff that is
+non-zero.  (x, b_l) is (x, y) for the candidate y that b_l was kept from,
+minus c (x, b_l2) for each earlier b_l2 on which y has coordinate c.  The
+c_l, with 1 on r when it is kept, are the F_i column of b_k: a dropped r is
+orthogonal to every earlier b_l and has norm zero, so it is zero, since
+the form on V(lam) is positive definite for 0 < q <= 1 (for symbolic q at
+all but finitely many such q).  E_i columns follow from adjointness,
+(E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l, filled once a level's F
+columns are complete; the tests' commutator and Serre checks test E on its
+own.  The build fails unless it ends with Weyl-dimension many vectors.
+
+The basis is the one Gram-Schmidt gives on the Verma words F_i1 ... F_in v,
+taken level by level, by weight and then lexicographically.  The word
+(i,) + word_k applied to v differs from F_i b_k by F_i b_l for earlier b_l
+of b_k's weight, whose candidates come earlier in the same order; so the
+span of the candidates up to each one, and with it every residual, norm
+and coordinate, is the same exact value either way.
 """
 
 from __future__ import annotations
 
-from qflag import Memo, cartan
+from qflag import cartan
 
 
 class CapExceeded(Exception):
@@ -57,132 +71,86 @@ class HWModule:
 
     def _build(self, expected_dim):
         rs, field = self.rs, self.field
-        rank = rs.rank
-        one, zero = field.one, field.zero
+        gens = range(1, rs.rank + 1)
+        zero, one = field.zero, field.one
         alpha_fund = [None] + [
-            cartan.root_to_fund(rs, cartan.simple_root(rs, i))
-            for i in range(1, rank + 1)]
+            cartan.root_to_fund(rs, cartan.simple_root(rs, i)) for i in gens]
+        weights, norms, words = [self.lam], [one], [()]
+        basis_of, source = {self.lam: [0]}, [None]
+        # cols_F[i][k] = {l: (F_i)_lk}, cols_E[i][k] = [(l, (E_i)_lk)], and
+        # source[l] = (x, F column of x) for the candidate x b_l was kept from
+        cols_F = {i: {} for i in gens}
+        cols_E = {i: [[]] for i in gens}
 
-        wt = Memo(lambda word: tuple(
-            r - a for r, a in zip(wt[word[1:]], alpha_fund[word[0]])))
-        wt[()] = self.lam
-
-        def e_image(key):
-            """E_i applied to the word, for key (i, word), as {word: coeff}
-            in the Verma span."""
-            i, word = key
-            if not word:
-                return {}
-            j, rest = word[0], word[1:]
-            out = {}
-            for w2, c in actE[i, rest].items():
-                k2 = (j,) + w2
-                out[k2] = out.get(k2, zero) + c
-            if i == j:
-                # <wt(rest), alpha_i^vee> is the i-th fundamental coordinate
-                m = wt[rest][i - 1]
-                c2 = field.q_int(m, rs.d[i - 1])
-                out[rest] = out.get(rest, zero) + c2
-            return {w: c for w, c in out.items() if c}
-
-        actE = Memo(e_image)
-
-        def pair_words(key):
-            """The form (u, w), for key (u, w) non-empty words of one
-            length and weight."""
-            u, w = key
-            i, u2 = u[0], u[1:]
+        def form(x, y):
+            """(F_i b_k, F_j b_m) for candidates x = (i, k), y = (j, m) of
+            one weight, by adjointness and the commutator E_i F_j."""
+            (i, k), (j, m) = x, y
             tot = zero
-            for w2, c in actE[i, w].items():
-                p = pair(u2, w2)
-                if p:
-                    tot = tot + c * p
-            exp = rs.d[i - 1] * wt[w][i - 1]  # (wt w, alpha_i)
-            return field.q_power(-exp) * tot
+            for l, c in cols_E[i][m]:
+                f = cols_F[j][l].get(k)
+                if f:
+                    tot = tot + c * f
+            if x == y:
+                tot = tot + field.q_int(weights[m][i - 1], rs.d[i - 1])
+            exp = rs.d[i - 1] * (weights[m][i - 1] - alpha_fund[j][i - 1])
+            return field.q_power(-exp) * norms[k] * tot
 
-        pairs = Memo(pair_words)
-
-        def pair(u, w):
-            if not u:
-                return one if not w else zero
-            if len(u) != len(w) or wt[u] != wt[w]:
-                return zero
-            return pairs[u, w]
-
-        def pair_combo(c1, c2):
-            tot = zero
-            for u, a in c1.items():
-                for w, b in c2.items():
-                    p = pair(u, w)
-                    if p:
-                        tot = tot + a * b * p
-            return tot
-
-        combos, weights, norms, basis_of = [], [], [], {}
-
-        def project(vec, mu):
-            """((l, c_l) for non-zero c_l = (vec, b_l)/N_l, b_l of weight mu,
-            ascending l), and the residual (vec, vec) - sum c_l^2 N_l."""
-            coords = []
-            residual = pair_combo(vec, vec)
-            for l in basis_of.get(mu, ()):
-                c = pair_combo(vec, combos[l]) / norms[l]
-                if c:
-                    coords.append((l, c))
-                    residual = residual - c * c * norms[l]
-            return tuple(coords), residual
-
-        # BFS over levels, Gram-Schmidt per weight space: a candidate word
-        # is kept iff its residual, the norm of w - sum c_l b_l, is non-zero
-        cand = [()]
-        while cand:
+        # level by level, Gram-Schmidt per weight: candidate x = F_i b_k is
+        # kept iff its residual, the norm of x - sum c_l b_l, is non-zero
+        level = [0]
+        while level:
+            cands = sorted(
+                (tuple(a - b for a, b in zip(weights[k], alpha_fund[i])),
+                 (i,) + words[k], i, k) for k in level for i in gens)
             kept = []
-            for w in cand:
-                mu = wt[w]
-                coords, r = project({w: one}, mu)
-                if not r:
-                    continue
-                combo = {w: one}
-                for l, c in coords:
-                    for w2, b in combos[l].items():
-                        combo[w2] = combo.get(w2, zero) - c * b
-                basis_of.setdefault(mu, []).append(len(combos))
-                combos.append({x: b for x, b in combo.items() if b})
-                weights.append(mu)
-                norms.append(r)
-                kept.append(w)
-            cand = sorted({(i,) + w for w in kept for i in range(1, rank + 1)},
-                          key=lambda w: (wt[w], w))
+            for mu, word, i, k in cands:
+                x = (i, k)
+                coords, dots, residual = {}, {}, form(x, x)
+                for l in basis_of.get(mu, ()):
+                    # (x, b_l) from b_l = y - sum c b_l2 over earlier l2
+                    y, y_coords = source[l]
+                    d = form(x, y)
+                    for l2, c in y_coords.items():
+                        if l2 != l:
+                            d = d - c * dots[l2]
+                    dots[l] = d
+                    c = d / norms[l]
+                    if c:
+                        coords[l] = c
+                        residual = residual - c * c * norms[l]
+                if residual:
+                    coords[len(weights)] = one
+                    basis_of.setdefault(mu, []).append(len(weights))
+                    kept.append(len(weights))
+                    weights.append(mu)
+                    norms.append(residual)
+                    words.append(word)
+                    source.append((x, coords))
+                    for cols in cols_E.values():
+                        cols.append([])
+                cols_F[i][k] = coords
+            # E_i from F_i by adjointness,
+            # (E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l
+            for i in gens:
+                for l in level:
+                    for k, c in cols_F[i][l].items():
+                        cols_E[i][k].append(
+                            (l, field.q_power(rs.d[i - 1] * weights[k][i - 1])
+                             * c * norms[k] / norms[l]))
+            level = kept
 
-        if len(combos) != expected_dim:
+        if len(weights) != expected_dim:
             raise AssertionError(
-                f"built {len(combos)} basis vectors, Weyl dimension says "
+                f"built {len(weights)} basis vectors, Weyl dimension says "
                 f"{expected_dim}")
         self.dim = expected_dim
         self.weights = weights
         self.norms = norms
-
-        # action matrices as sparse columns: F_i by projection, E_i from F_i
-        # by adjointness, (E_i)_lk = q^((wt_k, alpha_i)) (F_i)_kl N_k / N_l
-        cols_E = {i: [[] for _ in range(self.dim)] for i in range(1, rank + 1)}
-        cols_F = {i: [] for i in range(1, rank + 1)}
-        for i in range(1, rank + 1):
-            for l in range(self.dim):
-                img = {(i,) + w: c for w, c in combos[l].items()}
-                mu = tuple(a - b for a, b in zip(weights[l], alpha_fund[i]))
-                col, r = project(img, mu)
-                if r:
-                    raise AssertionError("image left the module span")
-                cols_F[i].append(col)
-                for k, c in col:  # c = (F_i)_kl
-                    cols_E[i][k].append(
-                        (l, field.q_power(self.k_exp(i, k)) * c * norms[k]
-                         / norms[l]))
         self._cols_E = {i: [tuple(col) for col in cols]
                         for i, cols in cols_E.items()}
-        self._cols_F = cols_F
-        # each recursive Memo holds itself through a cell: break the cycles
-        del wt, actE, pair, pairs
+        self._cols_F = {i: [tuple(cols[k].items()) for k in range(self.dim)]
+                        for i, cols in cols_F.items()}
 
     # -- access ---------------------------------------------------------------
 
@@ -194,11 +162,15 @@ class HWModule:
 
     def k_exp(self, i, k) -> int:
         """(wt_k, alpha_i), the q-exponent of K_i on basis vector k."""
+        cartan.simple_root(self.rs, i)  # raises ValueError for a bad index
         return self.rs.d[i - 1] * self.weights[k][i - 1]
 
     def matrix(self, gen, i):
         """Dense matrix of E_i or F_i (rows/cols 0-based)."""
-        cols = self._cols_E[i] if gen == "E" else self._cols_F[i]
+        if gen not in ("E", "F"):
+            raise ValueError(f"generator {gen!r} is neither 'E' nor 'F'")
+        cartan.simple_root(self.rs, i)  # raises ValueError for a bad index
+        cols = (self._cols_E if gen == "E" else self._cols_F)[i]
         zero = self.field.zero
         m = [[zero] * self.dim for _ in range(self.dim)]
         for k, col in enumerate(cols):

@@ -193,12 +193,23 @@ def test_relations_symbolic_a1():
     _check_relations(_module("A", 1, (2,), None, None))
 
 
+# one module of every rank-3/4 family the README claims besides A3
+BEYOND_RANK_2 = [("B", 3, (0, 0, 1)), ("C", 3, (0, 1, 0)),
+                 ("D", 4, (1, 0, 0, 0)), ("A", 4, (0, 1, 0, 0)),
+                 ("F", 4, (0, 0, 0, 1))]
+
+
 @pytest.mark.parametrize("letter,rank,lam", [
     ("A", 2, (1, 0)), ("A", 2, (1, 1)), ("B", 2, (0, 1)), ("B", 2, (1, 0)),
-    ("C", 2, (0, 1)), ("G", 2, (1, 0)),
+    ("C", 2, (0, 1)), ("G", 2, (1, 0)), *BEYOND_RANK_2,
 ])
 def test_relations_fixed_q(letter, rank, lam):
     _check_relations(_module(letter, rank, lam, 1, 2))
+
+
+@pytest.mark.parametrize("letter,rank,lam", BEYOND_RANK_2)
+def test_relations_symbolic_beyond_rank_2(letter, rank, lam):
+    _check_relations(_module(letter, rank, lam, None, None))
 
 
 def test_relations_classical_limit():
@@ -237,3 +248,23 @@ def test_rejects_non_dominant(rank, lam, message):
     or a wrong length is refused, not truncated or read as an integer."""
     with pytest.raises(ValueError, match=message):
         HWModule(cartan.root_system("A", rank), lam, SYM)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda m: m.matrix("e", 1), "neither 'E' nor 'F'"),
+    (lambda m: m.matrix("x", 1), "neither 'E' nor 'F'"),
+    (lambda m: m.matrix("E", 0), "out of range"),
+    (lambda m: m.matrix("F", 3), "out of range"),
+    (lambda m: m.matrix("F", True), "out of range"),
+    (lambda m: m.k_exp(0, 0), "out of range"),
+    (lambda m: m.k_exp(3, 0), "out of range"),
+    (lambda m: m.k_exp(1.0, 0), "out of range"),
+], ids=["lower-e", "unknown-gen", "index-0", "index-past-rank",
+        "matrix-bool", "k_exp-0", "k_exp-past-rank", "k_exp-float"])
+def test_accessors_reject_bad_generator_and_index(call, message):
+    """matrix and k_exp refuse a generator other than E/F and a simple-root
+    index outside 1..rank, instead of reading F_i, a negative index or a
+    bool as an integer."""
+    m = _module("A", 2, (1, 0), 1, 2)
+    with pytest.raises(ValueError, match=message):
+        call(m)

@@ -18,7 +18,8 @@ def test_items_cover_every_suite_and_field_once():
     assert "suite A2 S={2} q=2/3,3/5" in labels
     assert "module G2 10 q=symbolic" in labels
     assert "module A3 101 q=1/2" in labels
-    assert "module A3 101 q=symbolic" not in labels  # rank 3, |lam| = 2
+    assert "module A3 101 q=symbolic" in labels  # rank 3, |lam| = 2
+    assert sum(kind == "module" for _, kind, _ in sb.items()) == 104
 
 
 def test_compare_passes_only_equal_digests_on_both_sides():

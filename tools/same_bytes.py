@@ -5,8 +5,7 @@
 DIR is a checkout of the repository.  For each, a fresh python3 with the
 checkout's src/ first on sys.path computes the sha256 of the
 comparison_body of run_suite for every case of SUITES, and of module_dump
-for every highest weight of WEIGHTS over every field of FIELDS (symbolic
-only where the rank is at most 2 or the weight sums to at most 1).  One
+for every highest weight of WEIGHTS over every field of FIELDS.  One
 line per item gives both digests; under a suite whose digests differ,
 one indented line names each top-level field and each record (name and q
 tag) that differs, with the record fields that differ.  Exits 1 on any
@@ -98,8 +97,6 @@ def items():
         out.append((label, "suite", [family, rank, subset, qs, cap]))
     for family, rank, lam in WEIGHTS:
         for q in FIELDS:
-            if q == "symbolic" and rank > 2 and sum(lam) > 1:
-                continue
             label = f"module {family}{rank} {''.join(map(str, lam))} q={q}"
             out.append((label, "module", [family, rank, lam, q]))
     return out
