@@ -16,8 +16,9 @@ coordinate tuples are plain 0-indexed Python tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from qflag import Value
 
 Q = Fraction
 
@@ -29,17 +30,13 @@ _SUPPORTED = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    letter: str
-    rank: int
-    d: tuple[int, ...]
-    cartan: tuple[tuple[int, ...], ...]          # a[i][j] = <alpha_j, alpha_i^vee>... see note
-    pos_roots: tuple[tuple[int, ...], ...]       # simple-root coordinates
-    inv_cartan: tuple[tuple[Fraction, ...], ...]
+class RootSystem(Value):
+    """Family letter, rank, symmetrizers d, the Cartan matrix
+    a[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) (rows indexed by
+    the coroot), the positive roots in simple-root coordinates, and the
+    inverse Cartan matrix (Fractions)."""
 
-    # note: we store a[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i),
-    # i.e. rows are indexed by the coroot.
+    __slots__ = ("letter", "rank", "d", "cartan", "pos_roots", "inv_cartan")
 
     @property
     def name(self):
@@ -223,12 +220,11 @@ def weyl_dim(rs: RootSystem, lam) -> int:
 # parabolic data
 
 
-@dataclass(frozen=True)
-class Parabolic:
-    S: tuple[int, ...]                       # 1-based indices kept in the Levi
-    levi_pos: tuple[tuple[int, ...], ...]
-    nil_pos: tuple[tuple[int, ...], ...]
-    rho_S: tuple[int, ...]                   # fundamental coordinates
+class Parabolic(Value):
+    """S, the 1-based indices kept in the Levi; the positive roots of the
+    Levi and of the nilradical; rho_S in fundamental coordinates."""
+
+    __slots__ = ("S", "levi_pos", "nil_pos", "rho_S")
 
 
 def parabolic(rs: RootSystem, S) -> Parabolic:

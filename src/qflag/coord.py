@@ -150,21 +150,19 @@ dimension: the leg-0 seeds are the contractions of different leg-1 rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import prod
 from operator import add, mul
 
-from qflag import Memo, cartan
+from qflag import Memo, Record, cartan
 from qflag.lin import kernel, span_basis
 from qflag.repn import CapExceeded, HWModule
 
 DEFAULT_CAP = 6000
 
 
-@dataclass
-class ZeroCertificate:
+class ZeroCertificate(Record):
     """Verdict of a zero test.  closure_dims is dim U+v_s for each stacked
     vector leg, then the dimension of each leg's lowering closure of the
     functional, from the last leg to leg 0 (see the module docstring):
@@ -182,10 +180,13 @@ class ZeroCertificate:
     the terms cancel outright; groups counts the distinct (words, vector
     legs) after cancellation."""
 
-    zero: bool
-    closure_dims: tuple[int, ...]
-    groups: int
-    witness: str | None = None
+    __slots__ = ("zero", "closure_dims", "groups", "witness")
+
+    def __init__(self, zero, closure_dims, groups, witness=None):
+        self.zero = zero
+        self.closure_dims = closure_dims
+        self.groups = groups
+        self.witness = witness
 
     def __bool__(self):
         return self.zero

@@ -154,15 +154,28 @@ class HWModule:
 
     # -- access ---------------------------------------------------------------
 
+    def _check(self, i, k):
+        """Raise ValueError unless i is a simple-root index and k a basis
+        index (ints, not bools)."""
+        cartan.simple_root(self.rs, i)
+        if not isinstance(k, int) or isinstance(k, bool) or \
+                not 0 <= k < self.dim:
+            raise ValueError(f"basis index {k!r} out of range for "
+                             f"dimension {self.dim}")
+
     def e_col(self, i, k):
+        """((l, (E_i)_lk), ...): the coordinates of E_i b_k."""
+        self._check(i, k)
         return self._cols_E[i][k]
 
     def f_col(self, i, k):
+        """((l, (F_i)_lk), ...): the coordinates of F_i b_k."""
+        self._check(i, k)
         return self._cols_F[i][k]
 
     def k_exp(self, i, k) -> int:
         """(wt_k, alpha_i), the q-exponent of K_i on basis vector k."""
-        cartan.simple_root(self.rs, i)  # raises ValueError for a bad index
+        self._check(i, k)
         return self.rs.d[i - 1] * self.weights[k][i - 1]
 
     def matrix(self, gen, i):

@@ -25,13 +25,11 @@ tools must strip (see docs/report_schema.md).
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from qflag import cartan
+from qflag import Record, Value, cartan
 from qflag.classical import (ClassicalKahler, classical_context, verify_hkr,
                              verify_kahler_shape, verify_norm_lemma)
 from qflag.coord import DEFAULT_CAP, CapExceeded
@@ -49,55 +47,50 @@ PHASES = ("cartan", "repn", "projection", "invariance", "matrixunits",
           "cycle", "pairing", "cocycle", "kahler")
 
 
-@dataclass(frozen=True)
-class CaseConfig:
-    """One verification case.  ``q_values = None`` means symbolic."""
-    family: str
-    rank: int
-    subset: tuple = ()
-    q_values: tuple | None = None
-    cap: int = DEFAULT_CAP
-    seed: int = 1
-    only: tuple | None = None  # PHASES subset, in PHASES order; None = all
+class CaseConfig(Value):
+    """One verification case.  ``q_values = None`` means symbolic; ``only``
+    is a PHASES subset, stored in PHASES order, or None for all phases."""
 
-    def __post_init__(self):
-        rs = cartan.root_system(self.family, self.rank)
-        object.__setattr__(self, "family", rs.letter)
-        for key in ("q_values", "subset", "only"):
-            if isinstance(getattr(self, key), str):
+    __slots__ = ("family", "rank", "subset", "q_values", "cap", "seed", "only")
+
+    def __init__(self, family, rank, subset=(), q_values=None,
+                 cap=DEFAULT_CAP, seed=1, only=None):
+        rs = cartan.root_system(family, rank)
+        for key, value in (("q_values", q_values), ("subset", subset),
+                           ("only", only)):
+            if isinstance(value, str):
                 raise ValueError(f"{key} must be a tuple, not the string "
-                                 f"{getattr(self, key)!r}")
-        for key in ("cap", "seed"):
-            value = getattr(self, key)
+                                 f"{value!r}")
+        for key, value in (("cap", cap), ("seed", seed)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.q_values is not None:
-            for q in self.q_values:
+        if q_values is not None:
+            for q in q_values:
                 if isinstance(q, float):
                     raise ValueError(f"q must be exact, got the float {q!r}")
-            qs = tuple(Fraction(q) for q in self.q_values)
-            if not qs:
+            q_values = tuple(Fraction(q) for q in q_values)
+            if not q_values:
                 raise ValueError("evaluated mode needs at least one q value")
-            for q in qs:
+            for q in q_values:
                 if not 0 < q < 1:
                     raise ValueError(
                         f"q must lie strictly between 0 and 1, got {q}")
-            if len(set(qs)) != len(qs):
-                raise ValueError(f"q values repeat: {', '.join(map(str, qs))}")
-            object.__setattr__(self, "q_values", qs)
-        object.__setattr__(self, "subset", cartan.parabolic(rs, self.subset).S)
-        if self.only is not None:
-            for p in self.only:
+            if len(set(q_values)) != len(q_values):
+                raise ValueError(
+                    f"q values repeat: {', '.join(map(str, q_values))}")
+        subset = cartan.parabolic(rs, subset).S
+        if only is not None:
+            for p in only:
                 if p not in PHASES:
                     raise ValueError(f"unknown phase {p!r}")
-            if not self.only:
+            if not only:
                 raise ValueError("only must name at least one phase")
-            if len(set(self.only)) != len(self.only):
-                raise ValueError(f"phases repeat: {', '.join(self.only)}")
-            object.__setattr__(self, "only", tuple(
-                p for p in PHASES if p in self.only))
-        if self.cap <= 0:
+            if len(set(only)) != len(only):
+                raise ValueError(f"phases repeat: {', '.join(only)}")
+            only = tuple(p for p in PHASES if p in only)
+        if cap <= 0:
             raise ValueError("cap must be positive")
+        super().__init__(rs.letter, rank, subset, q_values, cap, seed, only)
 
     def fields(self):
         """[(q tag, scalar field)]: one symbolic field, or one fixed field
@@ -119,16 +112,20 @@ class CaseConfig:
         }
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    q: str
-    status: str                    # pass | fail | skipped | measured
-    lhs: str = ""
-    rhs: str = ""
-    cert_sizes: tuple = ()
-    seconds: float = 0.0
-    note: str = ""
+class CheckRecord(Record):
+    __slots__ = ("name", "q", "status", "lhs", "rhs", "cert_sizes", "seconds",
+                 "note")
+
+    def __init__(self, name, q, status, lhs="", rhs="", cert_sizes=(),
+                 seconds=0.0, note=""):
+        self.name = name
+        self.q = q
+        self.status = status           # pass | fail | skipped | measured
+        self.lhs = lhs
+        self.rhs = rhs
+        self.cert_sizes = cert_sizes
+        self.seconds = seconds
+        self.note = note
 
     def as_dict(self):
         return {
@@ -143,10 +140,12 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Report:
-    case: dict
-    records: list = dc_field(default_factory=list)
+class Report(Record):
+    __slots__ = ("case", "records")
+
+    def __init__(self, case, records=None):
+        self.case = case
+        self.records = [] if records is None else records
 
     @property
     def verdict(self):
@@ -161,6 +160,7 @@ class Report:
         }
 
     def to_json(self):
+        import json
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
@@ -382,6 +382,7 @@ def emit_report(rep: Report, path=None):
 
 def comparison_body(report_dict):
     """The determinism-comparison region: the report with timing stripped."""
+    import json
     out = json.loads(json.dumps(report_dict))
     for rec in out.get("records", []):
         rec.pop("seconds", None)

@@ -205,6 +205,25 @@ def test_parabolic_partitions_and_coroot_normalization(rs):
                     rs, cartan.simple_root(rs, i), p.rho_S) == want
 
 
+def test_root_system_and_parabolic_are_equal_hashable_values():
+    """Two calls give equal values that hash alike and are refused
+    assignment; a different system or subset is not equal."""
+    a2, b2 = cartan.root_system("A", 2), cartan.root_system("a", 2)
+    assert a2 == b2 and a2 is not b2 and hash(a2) == hash(b2)
+    assert a2 != cartan.root_system("B", 2) and a2 != ("A", 2)
+    p, p2 = cartan.parabolic(a2, [2]), cartan.parabolic(b2, (2,))
+    assert p == p2 and hash(p) == hash(p2)
+    assert p != cartan.parabolic(a2, [1])
+    assert len({a2, b2, p, p2}) == 2
+    assert repr(p) == ("Parabolic(S=(2,), levi_pos=((0, 1),), "
+                       "nil_pos=((1, 0), (1, 1)), rho_S=(1, 0))")
+    with pytest.raises(AttributeError):
+        a2.rank = 3
+    with pytest.raises(AttributeError):
+        del p.S
+    assert a2.rank == 2 and p.S == (2,)
+
+
 # -- rejection ----------------------------------------------------------------
 
 def test_unsupported_systems_are_rejected():

@@ -745,3 +745,22 @@ def test_dropped_context_frees_its_algebra_and_module():
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def test_zero_certificate_compares_every_field_and_reads_zero():
+    """Two certificates are equal only if verdict, closure dimensions,
+    group count and witness all agree; bool() is the verdict, whatever the
+    other fields say."""
+    cert = ZeroCertificate(True, (3, 2), 1)
+    assert cert == ZeroCertificate(True, (3, 2), 1, None)
+    for other in (ZeroCertificate(False, (3, 2), 1),
+                  ZeroCertificate(True, (3, 1), 1),
+                  ZeroCertificate(True, (3, 2), 2),
+                  ZeroCertificate(True, (3, 2), 1, "s")):
+        assert cert != other
+    assert cert != (True, (3, 2), 1, None)
+    assert bool(cert) and not ZeroCertificate(False, (3, 2), 1, "s")
+    assert not ZeroCertificate(False, (), 0)
+    assert repr(ZeroCertificate(False, (1,), 1, "q")) == (
+        "ZeroCertificate(zero=False, closure_dims=(1,), groups=1, "
+        "witness='q')")

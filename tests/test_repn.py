@@ -259,12 +259,25 @@ def test_rejects_non_dominant(rank, lam, message):
     (lambda m: m.k_exp(0, 0), "out of range"),
     (lambda m: m.k_exp(3, 0), "out of range"),
     (lambda m: m.k_exp(1.0, 0), "out of range"),
+    (lambda m: m.e_col(True, 1), "simple root index True out of range"),
+    (lambda m: m.e_col(0, 1), "simple root index 0 out of range"),
+    (lambda m: m.f_col(3, 0), "simple root index 3 out of range"),
+    (lambda m: m.f_col(1, 99), "basis index 99 out of range"),
+    (lambda m: m.f_col(1, 1.0), "basis index 1.0 out of range"),
+    (lambda m: m.e_col(1, True), "basis index True out of range"),
+    (lambda m: m.k_exp(1, -1), "basis index -1 out of range"),
+    (lambda m: m.k_exp(1, 3), "basis index 3 out of range"),
 ], ids=["lower-e", "unknown-gen", "index-0", "index-past-rank",
-        "matrix-bool", "k_exp-0", "k_exp-past-rank", "k_exp-float"])
+        "matrix-bool", "k_exp-0", "k_exp-past-rank", "k_exp-float",
+        "e_col-bool-root", "e_col-root-0", "f_col-root-past-rank",
+        "f_col-past-dim", "f_col-float", "e_col-bool-basis", "k_exp-negative",
+        "k_exp-past-dim"])
 def test_accessors_reject_bad_generator_and_index(call, message):
-    """matrix and k_exp refuse a generator other than E/F and a simple-root
-    index outside 1..rank, instead of reading F_i, a negative index or a
-    bool as an integer."""
+    """matrix, e_col, f_col and k_exp refuse a generator other than E/F, a
+    simple-root index outside 1..rank and a basis index outside
+    range(dim), instead of reading F_i, a negative index or a bool as an
+    integer, or raising a bare KeyError or IndexError."""
     m = _module("A", 2, (1, 0), 1, 2)
+    assert m.dim == 3
     with pytest.raises(ValueError, match=message):
         call(m)

@@ -1,12 +1,17 @@
 """Suite orchestration, report format, determinism, and the CLI."""
 
+import copy
 import json
 import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qflag
 from qflag.cli import main
 from qflag.report import (PHASES, CaseConfig, CheckRecord, Report,
                           comparison_body, emit_report, root_label, run_suite)
@@ -117,6 +122,59 @@ def test_fields_one_per_q_value():
     fields = CaseConfig("A", 1, q_values=("1/2", "2/3")).fields()
     assert [(tag, f.q0) for tag, f in fields] == [
         ("1/2", Fraction(1, 2)), ("2/3", Fraction(2, 3))]
+
+
+def test_normalized_configs_are_equal_hashable_values():
+    """Spellings that normalize alike are one value: equal, with one hash,
+    the same repr, and refused assignment or deletion.  A copy or a pickle
+    round trip gives the same value."""
+    a = CaseConfig("a", 2, [2], ["1/2"], only=["cycle"])
+    b = CaseConfig("A", 2, (2,), (Fraction(1, 2),), only=("cycle",))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != CaseConfig("A", 2, (2,), ("2/3",), only=("cycle",))
+    assert a != ("A", 2)
+    assert repr(a) == repr(b) == (
+        "CaseConfig(family='A', rank=2, subset=(2,), "
+        "q_values=(Fraction(1, 2),), cap=6000, seed=1, only=('cycle',))")
+    with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+        a.seed = 2
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'cap'"):
+        del a.cap
+    assert a.seed == 1 and a.cap == 6000
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+def test_check_record_defaults_and_report_records():
+    """A CheckRecord's optional fields default to empty values, and every
+    Report gets its own records list."""
+    rec = CheckRecord("x", "-", "pass")
+    assert (rec.lhs, rec.rhs, rec.cert_sizes, rec.seconds, rec.note) == (
+        "", "", (), 0.0, "")
+    assert rec == CheckRecord("x", "-", "pass", "", "", (), 0.0, "")
+    assert rec != CheckRecord("x", "-", "pass", note="n")
+    assert repr(rec) == ("CheckRecord(name='x', q='-', status='pass', "
+                         "lhs='', rhs='', cert_sizes=(), seconds=0.0, "
+                         "note='')")
+    r1, r2 = Report({}), Report({})
+    assert r1.records == [] and r1.records is not r2.records
+    r1.records.append(rec)
+    assert r2.records == [] and r1 != r2
+    assert repr(r2) == "Report(case={}, records=[])"
+
+
+def test_import_loads_no_dataclasses_or_json():
+    """Importing qflag.report, as each fresh process does, loads neither
+    dataclasses (with inspect behind it) nor json."""
+    src = str(Path(qflag.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import qflag.report; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_root_label():
