@@ -68,11 +68,11 @@ of leg 1.  A closure whose dimension exceeds the cap raises CapExceeded,
 checked after every kept insert, seeds included; the cap is the
 algebra's (CoordAlgebra.cap), fixed when the algebra is built.
 
-Batches.  Entrywise families of identities (the (i, j) entries of one
-matrix-unit product, all entries of P^2 = P) share their stacked vector
-legs and differ only in the functional, and one entry's functional is
-often shared by other families (for a != d the (i, j) functional of the
-product law of (a, b, c, d) does not depend on (a, b, c, d)).
+Batches.  Identities checked together often share their functional and
+differ in their vector legs (for a != d the unitarity sums U[a,d] of
+flagproj.verify_matrix_units all have the functional sum_k N_k (k, k) and
+the vector leg (a, d)), or share their vector legs and differ in the
+functional (the entries (i, j) of one entrywise identity).
 batch_zero_test therefore groups its members twice.  A family is the
 members with the same signature (the sorted (words, vector legs) group
 keys); families go together when they have the same block words and the
@@ -99,12 +99,9 @@ weight components of every F_t in member order:
 * Cap.  A member's own closures lie inside the joint ones, so joint
   closures that never exceed the cap bound every member's closures too.
 * Fallback.  If the group's test pairs non-zero or overruns the cap,
-  each of its families is tested alone: its own raising closures and
-  one joint lowering closure of its members' functionals, as above with
-  one family.  If that pairs non-zero or overruns the cap too, every
-  member of the family is tested on its own exactly as a one-member
+  every member of the group is tested on its own exactly as a one-member
   call, so per-member verdicts, witnesses and cap overruns do not depend
-  on the batching.
+  on the batching.  A group of one member is tested that way at once.
 
 Closures run on integers wherever the scalars allow:
 
@@ -338,10 +335,9 @@ class CoordAlgebra:
         in the same order are tested together: one raising closure per leg
         seeded with every family's legs, and one joint lowering closure of
         the shared functionals.  If that pairs non-zero or overruns the
-        cap, each family is tested alone with one joint lowering closure of
-        its members, and if that fails too each member on its own (see the
-        module docstring), so verdicts, witnesses and cap overruns are
-        those of one-member calls.
+        cap, each member is tested on its own (see the module docstring),
+        so verdicts, witnesses and cap overruns are those of one-member
+        calls.
         """
         if self.field.is_classical:
             raise ValueError(
@@ -373,39 +369,22 @@ class CoordAlgebra:
                               []).append(order)
         for (words, _), orders in shared.items():
             funs = [certs[at] for at in families[orders[0]]]
-            if len(orders) > 1:
+            if len(orders) > 1 or len(funs) > 1:
                 try:
-                    legs = self._raising_legs(orders)
+                    joint = self._lowering_test(
+                        words, self._raising_legs(orders), funs)
                 except CapExceeded:
-                    legs = None
-                if legs is not None and self._joint_test(
-                        words, legs, funs,
-                        [families[order] for order in orders], certs):
+                    joint = None
+                if joint is not None and joint.zero:
+                    for order in orders:
+                        for at in families[order]:
+                            certs[at] = joint
                     continue
             for order in orders:
                 legs = self._raising_legs([order])
-                if len(funs) > 1 and self._joint_test(
-                        words, legs, funs, [families[order]], certs):
-                    continue
                 for at in families[order]:
                     certs[at] = self._lowering_test(words, legs, [certs[at]])
         return certs
-
-    def _joint_test(self, words, legs, funs, families, certs):
-        """One lowering closure of the shared functionals funs of the
-        families (lists of member positions) against the raising closures
-        legs.  If every pairing is zero, give each member the joint
-        certificate and return True; return False if one pairs non-zero or
-        the closure overruns the cap."""
-        try:
-            joint = self._lowering_test(words, legs, funs)
-        except CapExceeded:
-            return False
-        if joint.zero:
-            for ats in families:
-                for at in ats:
-                    certs[at] = joint
-        return joint.zero
 
     def tensor_zero_test(self, tensor_terms):
         """Exact zero test for sums of tensors of elements (1 or 2 legs).

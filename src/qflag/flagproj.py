@@ -84,24 +84,25 @@ def flag_context(family, rank, subset, field,
 
 
 # -- laws -----------------------------------------------------------------------
-# The projection laws are the matrix-unit laws at a=b=c=d=0, term for term:
-# phat = mu[0,0], N_0 = 1 and lam_0 = rho_S.
+# The projection laws are the matrix-unit laws at a=b=c=d=0: phat = mu[0,0],
+# N_0 = 1 and lam_0 = rho_S.
 
 
-def _product_law(ctx, a, b, c, d, i, j):
-    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j]
-    as tensor terms (coeff, (elem,)), one per summand: the zero test scales
-    each as it groups them, so no summed element is built."""
-    terms = [(ctx.norms[k], (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j),))
+def _unitarity_law(ctx, a, d):
+    """U[a,d] = sum_k N_k conj(a^k_a) a^k_d - delta_(a,d) N_a 1 as tensor
+    terms (coeff, (elem,)), one per summand: the zero test scales each as
+    it groups them, so no summed element is built."""
+    alg = ctx.alg
+    terms = [(ctx.norms[k], (alg.mc(k, a, barred=True) * alg.mc(k, d),))
              for k in range(ctx.dim)]
     if a == d:
-        terms.append((-ctx.norms[a], (ctx.munit(c, b, i, j),)))
+        terms.append((-ctx.norms[a], (alg.unit(),)))
     return terms
 
 
 def _trace_law(ctx, a, b):
     """sum_i q^(2rho, lam_i) N_i mu[a,b][i,i]
-    - delta_(a,b) N_a q^(2rho, lam_a) 1 as tensor terms (_product_law)."""
+    - delta_(a,b) N_a q^(2rho, lam_a) 1 as tensor terms (_unitarity_law)."""
     F = ctx.field
     terms = [(F.q_power(ctx.wexp[i]) * ctx.norms[i], (ctx.munit(a, b, i, i),))
              for i in range(ctx.dim)]
@@ -117,17 +118,23 @@ def _star_law(ctx, a, b, i, j):
             == ctx.munit(b, a, i, j).canonical())
 
 
+def _generator_star(ctx, i, j):
+    """star(a^i_j) = conj(a^i_j) and star(conj(a^i_j)) = a^i_j,
+    syntactically."""
+    x, y = ctx.alg.mc(i, j), ctx.alg.mc(i, j, barred=True)
+    return (x.star().canonical() == y.canonical()
+            and y.star().canonical() == x.canonical())
+
+
 # -- verifications --------------------------------------------------------------
 
 
-def verify_idempotent(ctx: FlagContext):
-    """Check sum_k N_k phat[i,k] phat[k,j] = phat[i,j] for every (i,j), as
-    one batch: the pairs share one vector closure and, when every pair is
-    zero, one functional closure.  Returns {(i,j): ZeroCertificate}."""
-    pairs = list(itertools.product(range(ctx.dim), repeat=2))
-    certs = ctx.alg.batch_zero_test(
-        (_product_law(ctx, 0, 0, 0, 0, i, j) for i, j in pairs))
-    return dict(zip(pairs, certs))
+def verify_idempotent(ctx: FlagContext) -> ZeroCertificate:
+    """P^2 = P: sum_k N_k phat[i,k] phat[k,j] - phat[i,j]
+    = a^i_0 U[0,0] conj(a^j_0) for every (i,j), the product law at
+    a=b=c=d=0 with N_0 = 1 (see verify_matrix_units), so the one zero test
+    of U[0,0] returned here certifies all dim^2 entries."""
+    return ctx.alg.tensor_zero_test(_unitarity_law(ctx, 0, 0))
 
 
 def verify_selfadjoint(ctx: FlagContext) -> bool:
@@ -170,10 +177,9 @@ def verify_levi_invariance(ctx: FlagContext):
     return out
 
 
-def verify_matrix_units(ctx: FlagContext, indices=None,
+def verify_matrix_units(ctx: FlagContext,
                         laws=("product", "star", "trace")):
-    """The exact matrix-unit identities named in laws, over the given
-    index set:
+    """The exact matrix-unit identities named in laws, for every index:
 
     product:  sum_k N_k mu[a,b][i,k] mu[c,d][k,j]
                   = delta_(a,d) N_a mu[c,b][i,j]
@@ -181,28 +187,45 @@ def verify_matrix_units(ctx: FlagContext, indices=None,
     trace:    sum_i q^(2rho, lam_i) N_i mu[a,b][i,i]
                   = delta_(a,b) N_a q^(2rho, lam_a) 1
 
-    Returns {"product": {(a,b,c,d,i,j): cert}, "star": bool,
+    Returns {"product": {(a,d): cert}, "star": bool,
     "trace": {(a,b): cert}}, restricted to the keys in laws.  Each law is
     checked on its own, so a cap overrun in one leaves the others intact.
-    The product identities are tested as one batch: those of one
-    (a,b,c,d) share their vector legs, and for a != d the functional of
-    entry (i,j) does not depend on (a,b,c,d), so whole families share one
-    raising and one lowering closure (CoordAlgebra.batch_zero_test).
+
+    Product law from unitarity.  With mu[a,b][i,j] = a^i_b conj(a^j_a)
+    (_core), the difference of the product law is
+
+        sum_k N_k a^i_b conj(a^k_a) a^k_d conj(a^j_c)
+            - delta_(a,d) N_a a^i_b conj(a^j_c) = a^i_b U[a,d] conj(a^j_c),
+        U[a,d] = sum_k N_k conj(a^k_a) a^k_d - delta_(a,d) N_a 1,
+
+    term by term, because products concatenate words (the unit is the
+    empty word).  If U[a,d] vanishes on U_q(g), so does x U[a,d] y for
+    every x and y, since the product is convolution through the coproduct.
+    So the dim^2 zero tests of U[a,d] certify all dim^6 product identities,
+    those with (a, d) by U[a,d].  They run as one batch; for a != d every
+    U[a,d] has the same functional sum_k N_k (k, k) and its own vector leg
+    (a, d), so they are closed together (CoordAlgebra.batch_zero_test).
+
+    Star law from the generators.  CoordElem.star reverses the word and
+    every key, so star(xy) = star(y) star(x) and star(star(x)) = x.  Then
+    star(mu[a,b][j,i]) = star(conj(a^i_a)) star(a^j_b), and the dim^4 star
+    identities follow from star(a^i_j) = conj(a^i_j) and
+    star(conj(a^i_j)) = a^i_j, the 2 dim^2 comparisons made here.
+
+    The trace law is tested for every (a, b) as one batch; for a != b the
+    functional is again shared.
     """
     unknown = set(laws) - {"product", "star", "trace"}
     if unknown:
         raise ValueError(f"unknown matrix-unit laws {sorted(unknown)}")
-    idx = list(indices) if indices is not None else list(range(ctx.dim))
+    pairs = list(itertools.product(range(ctx.dim), repeat=2))
     out = {}
     if "product" in laws:
-        keys = list(itertools.product(idx, repeat=6))
-        certs = ctx.alg.batch_zero_test(
-            _product_law(ctx, *key) for key in keys)
-        out["product"] = dict(zip(keys, certs))
+        out["product"] = dict(zip(pairs, ctx.alg.batch_zero_test(
+            _unitarity_law(ctx, *ad) for ad in pairs)))
     if "star" in laws:
-        out["star"] = all(_star_law(ctx, *abij)
-                          for abij in itertools.product(idx, repeat=4))
+        out["star"] = all(_generator_star(ctx, *ij) for ij in pairs)
     if "trace" in laws:
-        out["trace"] = {ab: ctx.alg.tensor_zero_test(_trace_law(ctx, *ab))
-                        for ab in itertools.product(idx, repeat=2)}
+        out["trace"] = dict(zip(pairs, ctx.alg.batch_zero_test(
+            _trace_law(ctx, *ab) for ab in pairs)))
     return out

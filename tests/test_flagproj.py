@@ -14,6 +14,7 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag import flagproj as fp
 from qflag.hochschild import verify_cycle, verify_pairing
@@ -66,11 +67,9 @@ def test_bad_subset_rejected():
 
 @pytest.mark.parametrize("ctxname", ["a1", "a2s2", "b2s1", "a2full"])
 def test_idempotent(ctxname, request):
-    ctx = request.getfixturevalue(ctxname)
-    res = fp.verify_idempotent(ctx)
-    assert len(res) == ctx.dim ** 2
-    assert all(c.zero for c in res.values())
-    assert all(c.closure_dims[0] > 0 for c in res.values())
+    cert = fp.verify_idempotent(request.getfixturevalue(ctxname))
+    assert cert.zero
+    assert cert.closure_dims[0] > 0
 
 
 @pytest.mark.parametrize("ctxname", ["a1", "a2s2", "b2s1", "a2full"])
@@ -141,9 +140,29 @@ def test_non_levi_generator_moves_entries(a2s2):
 # -- matrix units ---------------------------------------------------------------
 
 
+def _product_law(ctx, a, b, c, d, i, j):
+    """The direct product law sum_k N_k mu[a,b][i,k] mu[c,d][k,j]
+    - delta_(a,d) N_a mu[c,b][i,j] as tensor terms, one per summand, in
+    the order of fp._unitarity_law(ctx, a, d).  The oracle of the
+    unitarity sums: its difference is a^i_b U[a,d] conj(a^j_c)."""
+    terms = [(ctx.norms[k], (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j),))
+             for k in range(ctx.dim)]
+    if a == d:
+        terms.append((-ctx.norms[a], (ctx.munit(c, b, i, j),)))
+    return terms
+
+
+def _doubled(terms, bad):
+    """terms with the summand at position bad doubled."""
+    if bad is None:
+        return terms
+    coeff, legs = terms[bad]
+    return terms[:bad] + [(2 * coeff, legs)] + terms[bad + 1:]
+
+
 def test_matrix_units_a1_all_indices(a1):
     res = fp.verify_matrix_units(a1)
-    assert len(res["product"]) == 2 ** 6
+    assert len(res["product"]) == 2 ** 2
     assert all(c.zero for c in res["product"].values())
     assert res["star"] is True
     assert all(c.zero for c in res["trace"].values())
@@ -151,7 +170,7 @@ def test_matrix_units_a1_all_indices(a1):
 
 def test_matrix_units_a2s2_all_indices(a2s2):
     res = fp.verify_matrix_units(a2s2)
-    assert len(res["product"]) == 3 ** 6
+    assert len(res["product"]) == 3 ** 2
     assert all(c.zero for c in res["product"].values())
     assert res["star"] is True
     assert len(res["trace"]) == 9
@@ -163,16 +182,110 @@ def test_matrix_units_a2s2_all_indices(a2s2):
     ("A", 3, (2, 3), SymbolicField),
 ], ids=["B2-S1-q12", "A3-S23-symbolic"])
 def test_matrix_units_dim4_all_indices(family, rank, subset, field):
-    """All 4^6 product identities of a 4-dimensional module, with the star
-    and trace laws; a cap overrun would raise instead of skipping."""
+    """The unitarity sums U[a,d] against the direct product law on all
+    4^6 indices of a 4-dimensional module, and the generator star check
+    against the star law on all 4^4 indices, with the trace law; a cap
+    overrun would raise instead of skipping."""
     ctx = fp.flag_context(family, rank, subset, field())
     assert ctx.dim == 4
     res = fp.verify_matrix_units(ctx)
-    assert len(res["product"]) == 4 ** 6
-    assert all(c.zero for c in res["product"].values())
+    assert len(res["product"]) == 4 ** 2
+    keys = list(itertools.product(range(4), repeat=6))
+    direct = ctx.alg.batch_zero_test(_product_law(ctx, *k) for k in keys)
+    for (a, b, c, d, i, j), cert in zip(keys, direct):
+        assert cert.zero == res["product"][a, d].zero
+    assert all(c.zero for c in direct)
     assert res["star"] is True
+    assert all(fp._star_law(ctx, *abij)
+               for abij in itertools.product(range(4), repeat=4))
     assert len(res["trace"]) == 16
     assert all(c.zero for c in res["trace"].values())
+
+
+@pytest.mark.parametrize("ctxname", ["a1", "a2s2", "b2s1", "a2full"])
+def test_unitarity_sum_without_its_unit_is_nonzero(ctxname, request):
+    """Negative control: U[0,0] without its unit term is
+    sum_k N_k conj(a^k_0) a^k_0, which takes the value 1 at the unit of
+    U_q(g)."""
+    ctx = request.getfixturevalue(ctxname)
+    terms = fp._unitarity_law(ctx, 0, 0)
+    assert ctx.alg.tensor_zero_test(terms).zero
+    cert = ctx.alg.tensor_zero_test(terms[:-1])
+    assert not cert.zero and cert.witness
+
+
+def _flagged(certs, keys):
+    return {k for k, c in zip(keys, certs) if not c.zero}
+
+
+@pytest.mark.parametrize("bad", ["norm", "delta"])
+@pytest.mark.parametrize("ctxname", ["a2s2", "b2s1"])
+def test_perturbed_unitarity_flags_what_the_direct_law_flags(ctxname, bad,
+                                                             request):
+    """Perturb U[a,d] and the direct product law the same way, on all
+    dim^6 indices: double the k = 1 summand (one norm perturbed, as in
+    test_idempotent_negative_control), which makes every U[a,d] non-zero,
+    or double the delta term, which breaks only the U[a,a].  The direct
+    law must be non-zero at some (b, c, i, j) for exactly the (a, d) whose
+    sum is non-zero."""
+    ctx = request.getfixturevalue(ctxname)
+    n = ctx.dim
+    pos = (lambda a, d: 1) if bad == "norm" else \
+        (lambda a, d: n if a == d else None)
+    pairs = list(itertools.product(range(n), repeat=2))
+    sums = _flagged(ctx.alg.batch_zero_test(
+        _doubled(fp._unitarity_law(ctx, *ad), pos(*ad)) for ad in pairs),
+        pairs)
+    keys = list(itertools.product(range(n), repeat=6))
+    direct = _flagged(ctx.alg.batch_zero_test(
+        _doubled(_product_law(ctx, *k), pos(k[0], k[3])) for k in keys),
+        keys)
+    assert {(k[0], k[3]) for k in direct} == sums
+    assert sums == (set(pairs) if bad == "norm"
+                    else {(a, a) for a in range(n)})
+
+
+def _random_elem(data, alg):
+    """A random sum of scaled products of matrix coefficients, plain and
+    conjugated, the unit included (the empty product)."""
+    dim = alg.m.dim
+    x = alg.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        y = alg.unit() * alg.field.q_power(data.draw(st.integers(-2, 2)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            y = y * alg.mc(data.draw(st.integers(0, dim - 1)),
+                           data.draw(st.integers(0, dim - 1)),
+                           data.draw(st.booleans()))
+        x = x + y
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_star_is_an_antimultiplicative_involution(a2s2, b2s1, data):
+    """star(xy) = star(y) star(x) and star(star(x)) = x canonically, the
+    two facts that reduce the star law to the generators."""
+    alg = data.draw(st.sampled_from([a2s2.alg, b2s1.alg]))
+    x, y = _random_elem(data, alg), _random_elem(data, alg)
+    assert (x * y).star().canonical() == \
+        (y.star() * x.star()).canonical()
+    assert x.star().star().canonical() == x.canonical()
+
+
+def test_generator_star_check_detects_a_broken_star(a1, monkeypatch):
+    """Negative control: a star that keeps the conjugation flags fails the
+    generator check and the star law alike."""
+    from qflag.coord import CoordElem
+
+    def flagless(self):
+        return CoordElem(self.alg, [
+            (w[::-1], {k[::-1]: c for k, c in f.items()},
+             {k[::-1]: c for k, c in v.items()}) for w, f, v in self.terms])
+
+    monkeypatch.setattr(CoordElem, "star", flagless)
+    assert fp.verify_matrix_units(a1, laws=("star",))["star"] is False
+    assert not all(fp._star_law(a1, *abij)
+                   for abij in itertools.product(range(2), repeat=4))
 
 
 def test_matrix_units_contain_projection(a1):
@@ -191,12 +304,12 @@ def test_matrix_unit_product_needs_delta(a1):
 
 
 def test_cap_propagates(a1):
-    # the four laws share U+v, of dimension 3 (certificates (3, 4)): cap 2
-    # is overrun by it
+    # U[0,1] needs a raising closure of dimension 3 (certificate (3, 1)):
+    # cap 2 is overrun by it
     ctx = fp.flag_context("A", 1, (), SymbolicField(), cap=2)
     assert ctx.alg.cap == 2
     with pytest.raises(CapExceeded):
-        fp.verify_idempotent(ctx)
+        fp.verify_matrix_units(ctx, laws=("product",))
 
 
 def test_cap_holds_on_a_cached_closure():
@@ -206,14 +319,7 @@ def test_cap_holds_on_a_cached_closure():
     ctx = fp.flag_context("A", 1, (), SymbolicField(), cap=2)
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            fp.verify_idempotent(ctx)
-
-
-@pytest.mark.parametrize("law", ["product", "star", "trace"])
-def test_matrix_units_reject_an_index_outside_the_module(a1, law):
-    """An index outside range(dim) used to raise a bare IndexError."""
-    with pytest.raises(ValueError, match="out of range"):
-        fp.verify_matrix_units(a1, indices=[0, 2], laws=(law,))
+            fp.verify_matrix_units(ctx, laws=("product",))
 
 
 @pytest.mark.parametrize("laws", [("prodct",), ("product", "Trace"), "star"])
@@ -224,28 +330,27 @@ def test_matrix_units_reject_unknown_law_names(a1, laws):
         fp.verify_matrix_units(a1, laws=laws)
 
 
-def test_matrix_units_fall_back_to_families_on_the_cap(a2s2):
-    """The families with a != d share their functionals and are tested
-    together, with a raising closure of dimension 72.  At cap 40 that
-    closure overruns, but each family's own closures (raising dimension at
-    most 27) fit: every product identity is still zero, a != d with the
-    certificate of its family tested alone, a = d (its groups' closures,
-    at most 36, fit) as at the default cap, and nothing raises."""
-    free = fp.verify_matrix_units(a2s2, laws=("product",))["product"]
-    ctx = fp.flag_context("A", 2, (2,), SymbolicField(), cap=40)
+def test_shared_group_falls_back_to_single_tests_on_the_cap():
+    """The U[a,d] with a != d share their functional and are tested as one
+    group, with a raising closure of dimension 15 on B2 S={1}.  At cap 12
+    that closure overruns, but each member's own closures (raising
+    dimension at most 11) fit: every U[a,d] is still zero, a != d with the
+    certificate of a one-member test, a = d (each its own group, closures
+    that fit) as at the default cap, and nothing raises."""
+    free = fp.verify_matrix_units(
+        fp.flag_context("B", 2, (1,), FixedField(Q(1, 2))),
+        laws=("product",))["product"]
+    ctx = fp.flag_context("B", 2, (1,), FixedField(Q(1, 2)), cap=12)
     capped = fp.verify_matrix_units(ctx, laws=("product",))["product"]
-    entries = list(itertools.product(range(ctx.dim), repeat=2))
-    assert max(c.closure_dims[0] for c in free.values()) == 72
-    for abcd in itertools.product(range(ctx.dim), repeat=4):
-        keys = [abcd + ij for ij in entries]
-        if abcd[0] == abcd[3]:
-            want = [free[k] for k in keys]
+    assert max(c.closure_dims[0] for c in free.values()) == 15
+    for (a, d), cert in capped.items():
+        assert cert.zero
+        if a == d:
+            assert cert == free[a, d]
         else:
-            want = ctx.alg.batch_zero_test(
-                fp._product_law(ctx, *k) for k in keys)
-            assert max(c.closure_dims[0] for c in want) <= 27
-        assert [capped[k] for k in keys] == want
-        assert all(c.zero for c in want)
+            single = ctx.alg.tensor_zero_test(fp._unitarity_law(ctx, a, d))
+            assert cert == single
+            assert single.closure_dims[0] <= 11 < free[a, d].closure_dims[0]
 
 
 def _raw_terms(elem):
@@ -261,7 +366,7 @@ def test_memoized_cores_survive_every_check():
     cores = dict(ctx._cores)
     assert len(cores) == ctx.dim ** 4
     before = {k: (c.canonical(), _raw_terms(c)) for k, c in cores.items()}
-    assert all(c.zero for c in fp.verify_idempotent(ctx).values())
+    assert fp.verify_idempotent(ctx).zero
     res = fp.verify_matrix_units(ctx)
     assert all(c.zero for c in res["product"].values()) and res["star"]
     assert all(fp.verify_levi_invariance(ctx).values())
@@ -281,15 +386,16 @@ def test_memoized_cores_survive_every_check():
 # -- laws as tensor terms ------------------------------------------------------
 
 
-def _summed_product(ctx, a, b, c, d, i, j, bad=None):
-    """sum_k N_k mu[a,b][i,k] mu[c,d][k,j] - delta_(a,d) N_a mu[c,b][i,j]
-    as one element, with the k = bad summand doubled."""
-    lhs = ctx.alg.zero()
+def _summed_unitarity(ctx, a, d, bad=None):
+    """sum_k N_k conj(a^k_a) a^k_d - delta_(a,d) N_a 1 as one element,
+    with the k = bad summand doubled."""
+    alg = ctx.alg
+    lhs = alg.zero()
     for k in range(ctx.dim):
         w = ctx.norms[k] * (2 if k == bad else 1)
-        lhs = lhs + w * (ctx.munit(a, b, i, k) * ctx.munit(c, d, k, j))
+        lhs = lhs + w * (alg.mc(k, a, barred=True) * alg.mc(k, d))
     if a == d:
-        lhs = lhs - ctx.norms[a] * ctx.munit(c, b, i, j)
+        lhs = lhs - ctx.norms[a] * alg.unit()
     return lhs
 
 
@@ -317,22 +423,19 @@ def _same_as_summed(ctx, terms, elem):
 
 @pytest.mark.parametrize("ctxname", ["a1", "a2s2", "b2s1"])
 def test_tensor_term_laws_group_as_the_summed_element(ctxname, request):
-    """The product and trace laws are passed to the zero test as their
-    scaled summands; they give the groups (order and functionals) and the
-    certificates of the summed element, for a = d and a != d, and for a
-    member with one summand doubled."""
+    """The unitarity sums and the trace law are passed to the zero test as
+    their scaled summands; they give the groups (order and functionals)
+    and the certificates of the summed element, for a = d and a != d, and
+    for a member with one summand doubled."""
     ctx = request.getfixturevalue(ctxname)
     last = ctx.dim - 1
-    for key in [(0, 0, 0, 0, 0, last), (last, 0, 1, last, 1, 0),
-                (0, 1, last, 1, last, last), (1, last, 0, 0, 0, 1)]:
-        assert _same_as_summed(ctx, fp._product_law(ctx, *key),
-                               _summed_product(ctx, *key)).zero
-    key, bad = (0, 0, 1, 0, 0, 1), 1
-    terms = fp._product_law(ctx, *key)
-    coeff, legs = terms[bad]
-    terms[bad] = (2 * coeff, legs)
-    assert not _same_as_summed(ctx, terms,
-                               _summed_product(ctx, *key, bad)).zero
+    for ad in [(0, 0), (last, last), (0, last), (1, 0)]:
+        assert _same_as_summed(ctx, fp._unitarity_law(ctx, *ad),
+                               _summed_unitarity(ctx, *ad)).zero
+    bad = 1
+    assert not _same_as_summed(ctx, _doubled(fp._unitarity_law(ctx, 0, 0),
+                                             bad),
+                               _summed_unitarity(ctx, 0, 0, bad)).zero
     for ab in [(0, 0), (last, last), (0, last)]:
         assert _same_as_summed(ctx, fp._trace_law(ctx, *ab),
                                _summed_trace(ctx, *ab)).zero

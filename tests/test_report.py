@@ -215,9 +215,8 @@ def test_a1_record_names_in_order(a1_report):
 
 def test_certificate_sizes_recorded(a1_report):
     rec = {r.name: r for r in a1_report.records}
-    # the four pairs are one batch that passes jointly, so each carries
-    # (dim U+v, dim (U-)^T span{f_1, ..., f_4}) = (3, 4)
-    assert rec["projection.idempotent"].cert_sizes == (3, 4)
+    # one zero test of U[0,0]: (dim U+v, dim (U-)^T f) = (2, 1)
+    assert rec["projection.idempotent"].cert_sizes == (2, 1)
     assert rec["cycle.normalized"].cert_sizes
 
 
@@ -271,11 +270,14 @@ def test_isolated_phase_reproduces_suite_result(a1_report):
 
 
 def test_cap_overrun_downgrades_to_skipped():
+    # P^2 = P needs closures of the module's dimension 2 only (U[0,0]);
+    # the product law's U[0,1] needs 3
     rep = run_suite(CaseConfig("A", 1, cap=2,
-                               only=("projection", "cycle")))
+                               only=("projection", "matrixunits", "cycle")))
     by_name = {r.name: r for r in rep.records}
-    assert by_name["projection.idempotent"].status == "skipped"
-    assert "cap" in by_name["projection.idempotent"].note
+    assert by_name["projection.idempotent"].status == "pass"
+    assert by_name["matrixunits.product"].status == "skipped"
+    assert "cap" in by_name["matrixunits.product"].note
     assert by_name["cycle.normalized"].status == "skipped"
     # skipped checks do not fail the verdict
     assert rep.verdict == "pass"
@@ -321,16 +323,15 @@ def test_every_named_check_is_recorded(capsys):
 
 @pytest.mark.parametrize("cap,trace_status", [(2, "skipped"), (3, "pass")])
 def test_matrix_unit_laws_are_recorded_independently(cap, trace_status):
-    # the product law overruns both caps; the star law needs no closure and
-    # the trace law's closures need dimension 3
+    # the star law needs no closure; the product law (U[0,1]) and the
+    # trace law (its (0,1) entry) each need closures of dimension 3
     rep = run_suite(CaseConfig("A", 1, cap=cap, only=("matrixunits",)))
     by_name = {r.name: r for r in rep.records}
-    assert by_name["matrixunits.product"].status == "skipped"
-    assert "cap" in by_name["matrixunits.product"].note
     assert by_name["matrixunits.star"].status == "pass"
-    trace = by_name["matrixunits.trace"]
-    assert trace.status == trace_status
-    assert ("cap" in trace.note) == (trace_status == "skipped")
+    for name in ("matrixunits.product", "matrixunits.trace"):
+        rec = by_name[name]
+        assert rec.status == trace_status
+        assert ("cap" in rec.note) == (trace_status == "skipped")
     assert rep.verdict == "pass"
 
 
@@ -363,6 +364,22 @@ def test_point_case_passes(family, rank, subset, q_values):
     build = [r for r in rep.records if r.name == "kahler.build"]
     assert [(r.status, r.lhs) for r in build] == [
         ("pass", "0 non-levi roots")]
+
+
+@pytest.mark.parametrize("family,rank,subset,dim", [
+    ("B", 4, (1, 2, 3), 16), ("F", 4, (1, 2, 3), 26)])
+def test_matrix_units_certified_at_every_index_past_dim_14(family, rank,
+                                                          subset, dim):
+    """At the default cap every matrix-unit law passes on every index of a
+    dimension-16 and a dimension-26 module, with nothing skipped: the dim^6
+    product identities through the dim^2 unitarity sums U[a,d]."""
+    rep = run_suite(CaseConfig(family, rank, subset, q_values=("1/2",),
+                               only=("matrixunits",)))
+    by_name = {r.name: r for r in rep.records}
+    assert [r.status for r in rep.records] == ["pass"] * 3
+    assert by_name["matrixunits.product"].lhs == \
+        f"{dim ** 6} differences zero"
+    assert by_name["matrixunits.trace"].lhs == f"{dim ** 2} differences zero"
 
 
 # -- golden regression ---------------------------------------------------------
