@@ -68,32 +68,27 @@ of leg 1.  A closure whose dimension exceeds the cap raises CapExceeded,
 checked after every kept insert, seeds included; the cap is the
 algebra's (CoordAlgebra.cap), fixed when the algebra is built.
 
-Batches.  Identities checked together often share their functional and
-differ in their vector legs (for a != d the unitarity sums U[a,d] of
+Batches.  Identities checked together often share their functional F and
+differ in their vector legs: for a != d the unitarity sums U[a,d] of
 flagproj.verify_matrix_units all have the functional sum_k N_k (k, k) and
-the vector leg (a, d)), or share their vector legs and differ in the
-functional (the entries (i, j) of one entrywise identity).
-batch_zero_test therefore groups its members twice.  A family is the
-members with the same signature (the sorted (words, vector legs) group
-keys); families go together when they have the same block words and the
-same member functionals F_1, ..., F_m in the same order.  A group of
-families phi, with stacked legs V_phi, is tested in one pass: the raising
+the vector leg (a, d).  So batch_zero_test tests each group, the members
+phi with the same block words and the same F, in one pass: the raising
 closure W of each leg is seeded with the weight components of every
-family's leg in family order, and the lowering closure is seeded with the
-weight components of every F_t in member order:
+member's leg V_phi in member order, and the lowering closure is that of F:
 
 * Soundness, one leg.  U.span{V_phi} = sum_phi U.V_phi, and by the
   reduction above it is U-.W with W the closure of the weight components
-  of every V_phi under the E_i.  So if (U-)^T span{F_1, ..., F_m} is
-  orthogonal to W, every F_t vanishes on every U.V_phi, which is the
-  zero test of every member (t, phi) of the group; for one leg this is
-  an iff.  Each member then gets the certificate
-  (dim W, dim (U-)^T span{F_1, ..., F_m}), both at least its own.
+  of every V_phi under the E_i.  So if (U-)^T F is orthogonal to W, F
+  vanishes on every U.V_phi, which is the zero test of every member of
+  the group; for one leg this is an iff.  Each member then gets the
+  certificate (dim W, dim (U-)^T F): the first at least its own, the
+  second its own.
 * Soundness, two legs.  The argument runs leg by leg as in the one-member
-  test: each joint closure contains each member's, so the joint
-  contractions span each member's, and the joint closure of the next leg
-  contains each member's.  Seeding each leg with every family's leg adds
-  cross pairs (the leg 0 of one family with the leg 1 of another), so
+  test: the closure of the last leg is each member's own, the joint
+  raising closure of that leg contains each member's, so the joint
+  contractions span each member's, and the joint closure of leg 0
+  contains each member's.  Seeding each leg with every member's leg adds
+  cross pairs (the leg 0 of one member with the leg 1 of another), so
   here the joint test is sufficient only, and the fallback decides.  The
   certificate holds the joint closure dimensions.
 * Cap.  A member's own closures lie inside the joint ones, so joint
@@ -170,12 +165,10 @@ class ZeroCertificate(Record):
     closure row paired with a raising row, each as normalized by the span
     kernel, so the value depends on the pivot order (see the module
     docstring) but never on integer scaling.  A zero verdict of a batch
-    member that was certified with other families or members carries the
-    dimensions of the joint closures instead: the raising closures of
-    every family's legs and the lowering closures of every member's
-    functional in the group (see the module docstring).  It is () when
-    the terms cancel outright; groups counts the distinct (words, vector
-    legs) after cancellation."""
+    member certified with other members carries the dimensions of the
+    group's joint closures instead (see the module docstring).  It is ()
+    when the terms cancel outright; groups counts the distinct (words,
+    vector legs) after cancellation."""
 
     __slots__ = ("zero", "closure_dims", "groups", "witness")
 
@@ -302,6 +295,8 @@ class CoordAlgebra:
           c = -sum_m r_m c_m.
 
         Hence h = f(t) + sum_m r_m f(c_m)."""
+        if elem.alg is not self:
+            raise ValueError("element from another algebra")
         field = self.field
         zero_wt = (0,) * self.rs.rank
         total = field.zero
@@ -325,65 +320,50 @@ class CoordAlgebra:
         """Exact zero tests for a batch of sums of tensors of elements (1 or
         2 legs); each member is an iterable of (coeff, (elem_0, ...,
         elem_n)) as in tensor_zero_test.  Members are drawn one at a time,
-        and each is kept only as the interned tuple of its functionals, one
-        dict per block, so a generator batch holds no more than its
-        distinct functionals.  Returns one ZeroCertificate per member, in
-        order.
+        and each is kept only as its stacked vector legs, so a generator
+        batch holds no more than those and its distinct functionals.
+        Returns one ZeroCertificate per member, in order.
 
-        Members with the same stacked vector legs form a family, and
-        families with the same block words and the same member functionals
-        in the same order are tested together: one raising closure per leg
-        seeded with every family's legs, and one joint lowering closure of
-        the shared functionals.  If that pairs non-zero or overruns the
-        cap, each member is tested on its own (see the module docstring),
-        so verdicts, witnesses and cap overruns are those of one-member
-        calls.
+        Members with the same block words and the same functional are
+        closed together, and tested one by one if that pairs non-zero or
+        overruns the cap (see the module docstring), so verdicts, witnesses
+        and cap overruns are those of one-member calls.
         """
         if self.field.is_classical:
             raise ValueError(
                 "zero tests require symbolic q or rational 0 < q < 1 "
                 "(weight separation fails at q = 1)")
-        # certs[at] holds member at's interned functionals until its
-        # certificate replaces them; a family is the list of its positions
         certs = []
-        families = {}
-        interned = {}
+        # (block words, functional items) -> (words, functional, [(at, legs)])
+        shared = {}
         for tensor_terms in batch:
-            # only the interned functionals outlive the drawing of a member
             order, groups = self._group_terms(tensor_terms)
             del tensor_terms
             if groups is None:
                 certs.append(ZeroCertificate(True, (), 0))
                 continue
-            funs = tuple(groups[k] for k in order)
-            del groups
-            families.setdefault(order, []).append(len(certs))
-            certs.append(interned.setdefault(
-                tuple(tuple(sorted(f.items())) for f in funs), funs))
-        del interned  # its keys copy every distinct functional
-        shared = {}
-        for order, ats in families.items():
-            # interned functionals are equal iff they are the same object
-            shared.setdefault((tuple(k[0] for k in order),
-                               tuple(id(certs[at]) for at in ats)),
-                              []).append(order)
-        for (words, _), orders in shared.items():
-            funs = [certs[at] for at in families[orders[0]]]
-            if len(orders) > 1 or len(funs) > 1:
+            words = tuple(k[0] for k in order)
+            fun = tuple(groups[k] for k in order)
+            shared.setdefault(
+                (words, tuple(tuple(sorted(f.items())) for f in fun)),
+                (words, fun, []))[2].append((len(certs), order))
+            certs.append(None)
+        # the keys copy every distinct functional; drop them before testing
+        shared = list(shared.values())
+        for words, fun, members in shared:
+            if len(members) > 1:
                 try:
-                    joint = self._lowering_test(
-                        words, self._raising_legs(orders), funs)
+                    joint = self._lowering_test(words, self._raising_legs(
+                        [order for _, order in members]), fun)
                 except CapExceeded:
                     joint = None
                 if joint is not None and joint.zero:
-                    for order in orders:
-                        for at in families[order]:
-                            certs[at] = joint
+                    for at, _ in members:
+                        certs[at] = joint
                     continue
-            for order in orders:
-                legs = self._raising_legs([order])
-                for at in families[order]:
-                    certs[at] = self._lowering_test(words, legs, [certs[at]])
+            for at, order in members:
+                certs[at] = self._lowering_test(
+                    words, self._raising_legs([order]), fun)
         return certs
 
     def tensor_zero_test(self, tensor_terms):
@@ -406,11 +386,18 @@ class CoordAlgebra:
         group keys (the stacked vector legs) and {key: {fkeys: coeff}}, or
         ((), None) when every functional cancels; each coeff scales its
         term's functional values.  The zero tests stack these groups, and
-        CoordElem.canonical reads its normal form off them."""
+        CoordElem.canonical reads its normal form off them.  A term with no
+        leg or a leg from another algebra raises ValueError, an inexact or
+        foreign coeff TypeError."""
         zero = self.field.zero
         nsides = None
         groups = {}
         for coeff, legs in tensor_terms:
+            if not legs:
+                raise ValueError("a tensor term needs at least one leg")
+            if any(e.alg is not self for e in legs):
+                raise ValueError("leg from another algebra")
+            coeff = _exact(self.field, coeff)
             if nsides is None:
                 nsides = len(legs)
                 if nsides > 2:
@@ -434,12 +421,12 @@ class CoordAlgebra:
             return (), None
         return tuple(sorted(groups, key=_group_sort_key)), groups
 
-    def _lowering_test(self, words, legs, funs):
-        """Close the weight components of every functional in funs (tuples
-        of one dict {fkeys: coeff} per block of the stacked legs, the
-        blocks' leg words in words) under the transposed F_i one leg at a
-        time, from the last leg to leg 0, and contract each leg's closure
-        rows with the raising closure rows of that leg (see the module
+    def _lowering_test(self, words, legs, fun):
+        """Close the weight components of the functional fun (a tuple of
+        one dict {fkeys: coeff} per block of the stacked legs, the blocks'
+        leg words in words) under the transposed F_i one leg at a time,
+        from the last leg to leg 0, and contract each leg's closure rows
+        with the raising closure rows of that leg (see the module
         docstring).  Keys are radix keys of the blocks' legs 0..s.  An
         inner leg's closure is built in full, which releases its working
         span basis before the contractions grow; the rows of leg 0 are
@@ -447,9 +434,9 @@ class CoordAlgebra:
         non-zero pairing, whose witness is the exact value."""
         dims = tuple(dim for _, dim in legs)
         codec = _Radix(self, words)
-        seeds = [v for fun in funs for v in self._weight_split(codec, (
+        seeds = self._weight_split(codec, (
             (gi, fkeys, c) for gi, f in enumerate(fun)
-            for fkeys, c in f.items()))]
+            for fkeys, c in f.items()))
         for s in reversed(range(len(legs))):
             rows = self._closure_rows(codec, seeds, [
                 (s, ("F", i)) for i in range(1, self.rs.rank + 1)], True)
@@ -500,8 +487,8 @@ class CoordAlgebra:
 
     def _raising_legs(self, orders):
         """The raising closure of each leg, seeded with the stacked legs of
-        every family in orders (group keys with the same block words), in
-        family order."""
+        every member in orders (group keys with the same block words), in
+        member order."""
         return [self._raising_closure([
             tuple((k[0][s], k[1][s]) for k in order) for order in orders])
             for s in range(len(orders[0][0][0]))]
@@ -651,9 +638,10 @@ class _Space(dict):
         """pi(gen) applied to the basis vector `key`, or with dual=True the
         transposed action fun -> fun o pi(gen) on a functional key; returns
         [(new_key, coeff), ...].  gen: ("E", i) | ("F", i) | ("K", i, e),
-        the last acting as K_i^e.  The coproduct puts K on the slots after
-        an E and K^(-1) on the slots before an F; K is diagonal, so the
-        transpose only swaps the column tables for the row tables."""
+        the last acting as K_i^e, as checked by _check_gen.  The coproduct
+        puts K on the slots after an E and K^(-1) on the slots before an
+        F; K is diagonal, so the transpose only swaps the column tables for
+        the row tables."""
         q_power = self.field.q_power
         slots = self.slots
         kind = gen[0]
@@ -673,8 +661,6 @@ class _Space(dict):
                 for l, c in col:
                     out.append((key[:j] + (l,) + key[j + 1:], c * f))
             return out
-        if kind != "K":
-            raise ValueError(f"unknown generator {gen}")
         i, e = gen[1], gen[2]
         exp = e * sum(sd.kexp[i][k] for sd, k in zip(slots, key))
         return [(key, q_power(exp))]
@@ -751,6 +737,26 @@ def _pair(field, fun, vec):
     return tot
 
 
+def _exact(field, x):
+    """x as a scalar of field; an inexact or foreign scalar raises
+    TypeError."""
+    if isinstance(x, type(field.zero)):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return field.from_fraction(x)
+    raise TypeError(f"scalar {x!r} is not exact in {field!r}")
+
+
+def _check_gen(rs, gen):
+    """Raise ValueError unless gen is ("E", i), ("F", i) or ("K", i, e),
+    i a simple-root index of rs and e an int exponent (not a bool)."""
+    if not (isinstance(gen, tuple) and (
+            len(gen) == 2 and gen[0] in ("E", "F")
+            or len(gen) == 3 and gen[0] == "K" and type(gen[2]) is int)):
+        raise ValueError(f"unknown generator {gen!r}")
+    cartan.simple_root(rs, gen[1])
+
+
 def _canon_vec(vec):
     # keys are distinct, so sorting the items never compares two values
     return tuple(sorted(vec.items()))
@@ -771,16 +777,6 @@ class CoordElem:
         self.terms = tuple(terms)
 
     # -- ring structure ---------------------------------------------------------
-
-    def _scalar(self, x):
-        """x as a scalar of the algebra's field; an inexact or foreign
-        scalar raises TypeError."""
-        field = self.alg.field
-        if isinstance(x, (int, Fraction)):
-            return field.from_fraction(x)
-        if isinstance(x, type(field.zero)):
-            return x
-        raise TypeError(f"scalar {x!r} is not exact in {field!r}")
 
     def __add__(self, other):
         if isinstance(other, CoordElem):
@@ -807,11 +803,9 @@ class CoordElem:
                                 _outer(fa, fb),
                                 _outer(va, vb)))
             return CoordElem(self.alg, out)
-        c = self._scalar(other)
-        return self.scale(c)
+        return self.scale(_exact(self.alg.field, other))
 
-    def __rmul__(self, other):
-        return self.scale(self._scalar(other))
+    __rmul__ = __mul__  # only a scalar factor reaches it
 
     def scale(self, c):
         if not c:
@@ -865,8 +859,10 @@ class CoordElem:
         return CoordElem(self.alg, out)
 
     def act_left(self, gen):
-        """gen |> elem  (left regular action on the vector legs)."""
+        """gen |> elem  (left regular action on the vector legs); gen is
+        checked as in _check_gen."""
         alg = self.alg
+        _check_gen(alg.rs, gen)
         out = []
         for w, f, v in self.terms:
             nv = alg.space(w).apply(gen, v)
@@ -875,8 +871,10 @@ class CoordElem:
         return CoordElem(alg, out)
 
     def act_right(self, gen):
-        """elem <| gen  (right regular action, on the functional legs)."""
+        """elem <| gen  (right regular action, on the functional legs); gen
+        is checked as in _check_gen."""
         alg = self.alg
+        _check_gen(alg.rs, gen)
         out = []
         for w, f, v in self.terms:
             nf = alg.space(w).apply(gen, f, dual=True)

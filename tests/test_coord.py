@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import cartan
+from qflag import flagproj as fp
 from qflag.coord import (DEFAULT_CAP, CoordAlgebra, CoordElem,
                          ZeroCertificate, _Radix)
 from qflag.qscalar import FixedField, QScalar, SymbolicField, classical_field
@@ -593,6 +594,71 @@ def test_mixed_algebra_guard():
     alg2 = make("A", 1, (1,))
     with pytest.raises(ValueError, match="different algebras"):
         alg1.mc(0, 0) * alg2.mc(0, 0)
+
+
+def test_zero_tests_reject_a_leg_from_another_algebra():
+    """Every unitarity and trace sum of B2 S={1} at q = 1/2 is zero in its
+    own algebra.  Read on A3 S={2,3}'s module, all 32 used to test
+    non-zero; a leg from another algebra now raises ValueError in every
+    zero test and in haar."""
+    half = FixedField(Q(1, 2))
+    b2 = fp.flag_context("B", 2, (1,), half)
+    a3 = fp.flag_context("A", 3, (2, 3), half)
+    for ad in itertools.product(range(b2.dim), repeat=2):
+        for law in (fp._unitarity_law, fp._trace_law):
+            terms = law(b2, *ad)
+            assert b2.alg.tensor_zero_test(terms).zero
+            with pytest.raises(ValueError, match="another algebra"):
+                a3.alg.tensor_zero_test(terms)
+            with pytest.raises(ValueError, match="another algebra"):
+                a3.alg.batch_zero_test([[(half.one, (a3.alg.unit(),))],
+                                        terms])
+    x, y = b2.alg.mc(0, 0), a3.alg.mc(0, 0)
+    with pytest.raises(ValueError, match="another algebra"):
+        a3.alg.tensor_zero_test([(half.one, (y, x))])
+    with pytest.raises(ValueError, match="another algebra"):
+        a3.alg.is_zero(x)
+    with pytest.raises(ValueError, match="another algebra"):
+        a3.alg.haar(x)
+
+
+@pytest.mark.parametrize("field", [SymbolicField(), FixedField(Q(1, 2))],
+                         ids=["symbolic", "q12"])
+def test_zero_tests_reject_a_term_without_legs_or_an_inexact_coeff(field):
+    """A term with no leg raises ValueError, and a float coefficient, or a
+    symbolic one at fixed q, TypeError naming it and the field, as
+    CoordElem's scalar factors do; int and Fraction coefficients still
+    scale exactly."""
+    alg = make("A", 1, (1,), field)
+    x = phat(alg, 0, 0)
+    for terms in ([(field.one, ())], [(field.one, (x,)), (field.one, ())]):
+        with pytest.raises(ValueError, match="at least one leg"):
+            alg.tensor_zero_test(terms)
+    bad = [0.5]
+    if isinstance(field, FixedField):
+        bad.append(SymbolicField().q_power(1))
+    for c in bad:
+        with pytest.raises(TypeError, match=re.escape(
+                f"scalar {c!r} is not exact in {field!r}")):
+            alg.tensor_zero_test([(c, (x,))])
+    assert alg.tensor_zero_test([(2, (x,)), (Q(-2), (x,))]).zero
+    assert not alg.tensor_zero_test([(Q(1, 2), (x,)), (-1, (x,))]).zero
+
+
+@pytest.mark.parametrize("gen", [
+    ("E", 0), ("F", 2), ("K", 2, 1), ("E", True), ("F", 1.0), ("E", "1"),
+    ("K", 1, 0.5), ("K", 1, True), ("K", 1, Q(1)), ("K", 1), ("E", 1, 1),
+    ("X", 1), ("E",), (), ["E", 1], "E1", None])
+def test_actions_reject_a_bad_generator(a1, gen):
+    """act_left and act_right take ("E", i), ("F", i) or ("K", i, e), i a
+    simple-root index (an int, not a bool) and e an int; anything else
+    raises ValueError, on the zero element too, where no term would reach
+    the generator action."""
+    for x in (phat(a1, 0, 1), a1.zero()):
+        for act in (x.act_left, x.act_right):
+            with pytest.raises(ValueError,
+                               match="generator|simple root index"):
+                act(gen)
 
 
 @pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (-1, 0), (0, -1), (True, 0),

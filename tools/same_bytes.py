@@ -20,20 +20,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (family, rank, subset, q values or None for symbolic, cap or None)
+# (family, rank, subset, q values or None for symbolic, cap or None,
+#  phases run or None for all); the two matrix-unit-only cases batch
+#  hundreds of unitarity sums that share one functional
 SUITES = [
-    ("A", 1, (), None, None),
-    ("A", 2, (2,), None, None),
-    ("A", 1, (1,), None, None),
-    ("A", 3, (2, 3), None, None),
-    ("A", 2, (), ("1/2",), None),
-    ("B", 2, (1,), ("1/2",), None),
-    ("G", 2, (2,), ("1/2",), None),
-    ("A", 2, (1, 2), ("1/2",), None),
-    ("C", 2, (1,), ("2/3",), None),
-    ("A", 2, (2,), ("2/3", "3/5"), None),
-    ("A", 1, (), None, 2),
-    ("A", 2, (2,), None, 9),
+    ("A", 1, (), None, None, None),
+    ("A", 2, (2,), None, None, None),
+    ("A", 1, (1,), None, None, None),
+    ("A", 3, (2, 3), None, None, None),
+    ("A", 2, (), ("1/2",), None, None),
+    ("B", 2, (1,), ("1/2",), None, None),
+    ("G", 2, (2,), ("1/2",), None, None),
+    ("A", 2, (1, 2), ("1/2",), None, None),
+    ("C", 2, (1,), ("2/3",), None, None),
+    ("A", 2, (2,), ("2/3", "3/5"), None, None),
+    ("A", 1, (), None, 2, None),
+    ("A", 2, (2,), None, 9, None),
+    ("B", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
+    ("F", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
 ]
 
 WEIGHTS = [
@@ -65,10 +69,11 @@ from qflag.report import CaseConfig, comparison_body, run_suite
 def body(kind, args):
     # (the text digested, the comparison body of a suite or None)
     if kind == "suite":
-        family, rank, subset, qs, cap = args
+        family, rank, subset, qs, cap, only = args
         cfg = CaseConfig(family, rank, tuple(subset),
                          q_values=None if qs is None else tuple(qs),
-                         **({} if cap is None else {"cap": cap}))
+                         **({} if cap is None else {"cap": cap}),
+                         **({} if only is None else {"only": tuple(only)}))
         out = comparison_body(run_suite(cfg).as_dict())
         return json.dumps(out, indent=2), out
     family, rank, lam, q = args
@@ -90,11 +95,12 @@ for label, kind, args in json.load(sys.stdin):
 def items():
     """[(label, kind, args)] for every suite and module dump compared."""
     out = []
-    for family, rank, subset, qs, cap in SUITES:
+    for family, rank, subset, qs, cap, only in SUITES:
         label = (f"suite {family}{rank} S={{{','.join(map(str, subset))}}} "
                  f"q={'symbolic' if qs is None else ','.join(qs)}"
-                 + ("" if cap is None else f" cap={cap}"))
-        out.append((label, "suite", [family, rank, subset, qs, cap]))
+                 + ("" if cap is None else f" cap={cap}")
+                 + ("" if only is None else f" only={','.join(only)}"))
+        out.append((label, "suite", [family, rank, subset, qs, cap, only]))
     for family, rank, lam in WEIGHTS:
         for q in FIELDS:
             label = f"module {family}{rank} {''.join(map(str, lam))} q={q}"
