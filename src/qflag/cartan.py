@@ -201,10 +201,23 @@ def two_rho_root(rs: RootSystem):
     return tuple(sum(r[k] for r in rs.pos_roots) for k in range(rs.rank))
 
 
-def weyl_dim(rs: RootSystem, lam) -> int:
-    """dim V(lam) by the product formula over positive roots."""
-    if any(c < 0 for c in lam):
+def dominant_weight(rs: RootSystem, lam):
+    """lam as a tuple of rank ints (no bools), all of them non-negative;
+    anything else raises ValueError."""
+    lam = tuple(lam)
+    if len(lam) != rs.rank or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in lam):
+        raise ValueError(f"highest weight {lam} needs {rs.rank} integer "
+                         "entries")
+    if any(x < 0 for x in lam):
         raise ValueError(f"{lam} is not dominant")
+    return lam
+
+
+def weyl_dim(rs: RootSystem, lam) -> int:
+    """dim V(lam) by the product formula over positive roots; lam is
+    checked by dominant_weight."""
+    lam = dominant_weight(rs, lam)
     num, den = 1, 1
     rho = rho_fund(rs)
     lam_rho = tuple(l + 1 for l in lam)
@@ -228,7 +241,9 @@ class Parabolic(Value):
 
 
 def parabolic(rs: RootSystem, S) -> Parabolic:
-    """Parabolic data of the marked simple roots S (distinct int indices)."""
+    """Parabolic data of the marked simple roots S (distinct int indices;
+    any iterable, read once)."""
+    S = tuple(S)
     for i in S:
         if not isinstance(i, int) or isinstance(i, bool):
             raise ValueError(f"subset indices must be integers, got {i!r}")

@@ -491,7 +491,9 @@ def _as_rational(r):
 
 
 class SymbolicField:
-    """Q(s) with s = q^(1/2); elements are QScalar."""
+    """Q(s) with s = q^(1/2); elements are QScalar.  Powers of q are a Memo
+    per field (_powers), as in FixedField; an exponent that is not a
+    half-integer raises and stores nothing."""
 
     name = "symbolic"
     is_classical = False
@@ -499,15 +501,15 @@ class SymbolicField:
     zero = _ZERO
     one = _ONE
 
+    def __init__(self):
+        self._powers = Memo(_symbolic_power)
+
     def from_fraction(self, r):
         return QScalar.from_fraction(r)
 
     def q_power(self, e):
         """q^e for integer or half-integer e (2e must be an integer)."""
-        e2 = 2 * Q(e)
-        if e2.denominator != 1:
-            raise ValueError(f"q^{e} is not in Q(s)")
-        return QScalar.s_power(int(e2))
+        return self._powers[e]
 
     def q_int(self, n, d=1):
         """[n] in base q^d, as a Laurent polynomial."""
@@ -553,6 +555,13 @@ class FixedField:
 
     def __repr__(self):
         return f"FixedField({self.q0})"
+
+
+def _symbolic_power(e):
+    e2 = 2 * Q(e)
+    if e2.denominator != 1:
+        raise ValueError(f"q^{e} is not in Q(s)")
+    return QScalar.s_power(int(e2))
 
 
 def _fixed_power(q0, e):

@@ -50,13 +50,7 @@ class CapExceeded(Exception):
 
 class HWModule:
     def __init__(self, rs, lam, field, cap=None):
-        lam = tuple(lam)
-        if len(lam) != rs.rank or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in lam):
-            raise ValueError(f"highest weight {lam} needs {rs.rank} integer "
-                             "entries")
-        if any(x < 0 for x in lam):
-            raise ValueError(f"{lam} is not dominant")
+        lam = cartan.dominant_weight(rs, lam)
         self.rs = rs
         self.lam = lam
         self.field = field

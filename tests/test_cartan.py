@@ -166,8 +166,23 @@ def test_weyl_dim_of_rho_is_two_to_the_positives(rs):
 
 
 def test_weyl_dim_rejects_non_dominant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not dominant"):
         cartan.weyl_dim(cartan.root_system("A", 2), (-1, 0))
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 5), (1.5, 0), (1,), (True, 0)],
+                         ids=["extra-entry", "float", "short", "bool"])
+def test_weyl_dim_rejects_a_weight_of_the_wrong_shape(lam):
+    """An extra entry used to be ignored (dimension 3), a float tripped a
+    bare AssertionError and a short weight a bare IndexError."""
+    with pytest.raises(ValueError, match="needs 2 integer entries"):
+        cartan.weyl_dim(cartan.root_system("A", 2), lam)
+
+
+def test_dominant_weight_reads_an_iterable_once():
+    rs = cartan.root_system("A", 2)
+    assert cartan.dominant_weight(rs, iter([1, 0])) == (1, 0)
+    assert cartan.weyl_dim(rs, (x for x in [1, 1])) == 8
 
 
 # -- parabolic data -----------------------------------------------------------
@@ -203,6 +218,19 @@ def test_parabolic_partitions_and_coroot_normalization(rs):
                 want = 0 if i in S else 1
                 assert cartan.coroot_pairing(
                     rs, cartan.simple_root(rs, i), p.rho_S) == want
+
+
+@pytest.mark.parametrize("make", [lambda: (i for i in [2]),
+                                  lambda: iter([2])],
+                         ids=["generator", "iterator"])
+def test_parabolic_reads_a_one_shot_subset_once(make):
+    """A subset that can be read only once used to be used up by the
+    validation loop, and the case silently became the full flag case."""
+    a2 = cartan.root_system("A", 2)
+    assert cartan.parabolic(a2, make()) == cartan.parabolic(a2, (2,))
+    assert cartan.parabolic(a2, make()).S == (2,)
+    with pytest.raises(ValueError, match="integers"):
+        cartan.parabolic(a2, (x for x in ["2"]))
 
 
 def test_root_system_and_parabolic_are_equal_hashable_values():

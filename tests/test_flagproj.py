@@ -42,6 +42,19 @@ def a2full():
     return fp.flag_context("A", 2, (), FixedField(Q(1, 2)))
 
 
+@pytest.fixture(scope="module")
+def g2s2():
+    return fp.flag_context("G", 2, (2,), FixedField(Q(1, 2)))
+
+
+@pytest.fixture(scope="module")
+def a2point():
+    return fp.flag_context("A", 2, (1, 2), FixedField(Q(1, 2)))
+
+
+ORACLE_CASES = ["a1", "a2s2", "a2full", "b2s1", "g2s2", "a2point"]
+
+
 def test_context_shapes(a1, a2s2, b2s1, a2full):
     assert (a1.dim, a2s2.dim, b2s1.dim, a2full.dim) == (2, 3, 4, 8)
     assert a1.trace_exp == 1
@@ -55,6 +68,14 @@ def test_b2_module_anchors(b2s1):
     assert list(m.weights) == [(0, 1), (1, -1), (-1, 1), (0, -1)]
     assert m.norms == [Q(1), Q(1, 2), Q(1, 8), Q(1, 16)]
     assert b2s1.wexp == (4, 2, -2, -4)
+
+
+@pytest.mark.parametrize("make", [lambda: (i for i in [2]),
+                                  lambda: iter([2])],
+                         ids=["generator", "iterator"])
+def test_one_shot_subset_keeps_its_roots(make):
+    ctx = fp.flag_context("A", 2, make(), SymbolicField())
+    assert (ctx.S, ctx.dim, ctx.lam) == ((2,), 3, (1, 0))
 
 
 def test_bad_subset_rejected():
@@ -127,6 +148,93 @@ def test_full_flag_torus_invariance(a1, a2full):
     assert all(inv.values())
 
 
+def _star_law(ctx, a, b, i, j):
+    """mu[a,b][j,i]^* = mu[b,a][i,j], exactly and syntactically: the
+    per-entry oracle of the generator star check."""
+    return (ctx.munit(a, b, j, i).star().canonical()
+            == ctx.munit(b, a, i, j).canonical())
+
+
+def _selfadjoint_oracle(ctx):
+    """P* = P entry by entry, the star law at a = b = 0."""
+    return all(_star_law(ctx, 0, 0, i, j)
+               for i, j in itertools.product(range(ctx.dim), repeat=2))
+
+
+def _invariance_oracle(ctx, gens):
+    """{gen: every phat[i,j] annihilated (E, F) or fixed (K) by the left
+    action}, entry by entry on the normal forms."""
+    out = {}
+    for gen in gens:
+        ok = True
+        for i, j in itertools.product(range(ctx.dim), repeat=2):
+            p = ctx.phat(i, j)
+            got = p.act_left(gen).canonical()
+            ok = ok and (got == p.canonical() if gen[0] == "K" else not got)
+        out[gen] = ok
+    return out
+
+
+def _all_generators(rs):
+    return [g for i in range(1, rs.rank + 1)
+            for g in (("E", i), ("F", i), ("K", i, 1))]
+
+
+@pytest.mark.parametrize("ctxname", ORACLE_CASES)
+def test_levi_invariance_matches_the_entry_oracle(ctxname, request,
+                                                  monkeypatch):
+    """The one action per generator on the shared vector leg gives the
+    verdicts of the dim^2 entry checks, for every E_i, F_i and K_i: the
+    Levi ones (all fixed) and the others (E_i, F_i outside S move every
+    entry of a case of dimension > 1)."""
+    ctx = request.getfixturevalue(ctxname)
+    assert fp.verify_levi_invariance(ctx) == \
+        _invariance_oracle(ctx, fp.levi_generators(ctx.rs, ctx.S))
+    gens = _all_generators(ctx.rs)
+    monkeypatch.setattr(fp, "levi_generators", lambda rs, S: gens)
+    got = fp.verify_levi_invariance(ctx)
+    assert got == _invariance_oracle(ctx, gens)
+    assert got == {g: g[0] == "K" or g[1] in ctx.S or ctx.dim == 1
+                   for g in gens}
+
+
+@pytest.mark.parametrize("ctxname", ORACLE_CASES)
+def test_selfadjoint_matches_the_entry_oracle(ctxname, request):
+    ctx = request.getfixturevalue(ctxname)
+    assert fp.verify_selfadjoint(ctx) is _selfadjoint_oracle(ctx) is True
+
+
+def _flagless_star(self):
+    """A star that keeps the conjugation flags."""
+    from qflag.coord import CoordElem
+    return CoordElem(self.alg, [
+        (w[::-1], {k[::-1]: c for k, c in f.items()},
+         {k[::-1]: c for k, c in v.items()}) for w, f, v in self.terms])
+
+
+@pytest.mark.parametrize("tamper", ["flagless", "doubling"])
+@pytest.mark.parametrize("ctxname", ["a1", "b2s1", "g2s2"])
+def test_selfadjoint_detects_a_broken_star(ctxname, tamper, request,
+                                           monkeypatch):
+    """Negative control: under a tampered CoordElem.star (one that keeps
+    the conjugation flags, or the true star with every functional
+    coefficient doubled) both the generator check and the entry oracle
+    report P* != P."""
+    from qflag.coord import CoordElem
+
+    star = CoordElem.star
+
+    def doubling(self):
+        return CoordElem(self.alg, [(w, {k: 2 * c for k, c in f.items()}, v)
+                                    for w, f, v in star(self).terms])
+
+    ctx = request.getfixturevalue(ctxname)
+    monkeypatch.setattr(CoordElem, "star", _flagless_star
+                        if tamper == "flagless" else doubling)
+    assert fp.verify_selfadjoint(ctx) is False
+    assert _selfadjoint_oracle(ctx) is False
+
+
 def test_non_levi_generator_moves_entries(a2s2):
     """Negative control: E/F generators outside S must not annihilate the
     entries.  (Every K_i fixes them: the vector leg has weight zero.)"""
@@ -196,7 +304,7 @@ def test_matrix_units_dim4_all_indices(family, rank, subset, field):
         assert cert.zero == res["product"][a, d].zero
     assert all(c.zero for c in direct)
     assert res["star"] is True
-    assert all(fp._star_law(ctx, *abij)
+    assert all(_star_law(ctx, *abij)
                for abij in itertools.product(range(4), repeat=4))
     assert len(res["trace"]) == 16
     assert all(c.zero for c in res["trace"].values())
@@ -277,14 +385,9 @@ def test_generator_star_check_detects_a_broken_star(a1, monkeypatch):
     generator check and the star law alike."""
     from qflag.coord import CoordElem
 
-    def flagless(self):
-        return CoordElem(self.alg, [
-            (w[::-1], {k[::-1]: c for k, c in f.items()},
-             {k[::-1]: c for k, c in v.items()}) for w, f, v in self.terms])
-
-    monkeypatch.setattr(CoordElem, "star", flagless)
+    monkeypatch.setattr(CoordElem, "star", _flagless_star)
     assert fp.verify_matrix_units(a1, laws=("star",))["star"] is False
-    assert not all(fp._star_law(a1, *abij)
+    assert not all(_star_law(a1, *abij)
                    for abij in itertools.product(range(2), repeat=4))
 
 

@@ -327,6 +327,23 @@ def test_q_power_memo_is_per_field():
     assert half.q_power(3) != two_thirds.q_power(3)
 
 
+def test_symbolic_q_power_memo():
+    """Repeated calls give equal values from one Memo per field; an
+    exponent that is not a half-integer raises on every call and stores
+    nothing."""
+    sym = SymbolicField()
+    for _ in range(2):
+        for e in (-3, 0, 2, Q(1, 2), Q(-5, 2)):
+            assert sym.q_power(e) == QScalar.s_power(int(2 * e))
+    assert sym.q_power(Q(1, 2)) is sym.q_power(Q(1, 2))
+    assert sym._powers is not SymbolicField()._powers
+    stored = dict(sym._powers)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not in Q"):
+            sym.q_power(Q(1, 3))
+    assert sym._powers == stored
+
+
 def test_memo_runs_fn_once_per_key():
     calls = []
 

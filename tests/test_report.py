@@ -68,6 +68,11 @@ def test_subset_is_sorted_and_cap_positive():
         CaseConfig("A", 1, cap=0)
 
 
+def test_one_shot_subset_is_not_the_full_flag_case():
+    assert CaseConfig("A", 2, subset=iter([2])).subset == (2,)
+    assert CaseConfig("A", 2, subset=(i for i in [2])).subset == (2,)
+
+
 def test_repeated_subset_index_rejected():
     with pytest.raises(ValueError, match="subset repeats: 2, 2"):
         CaseConfig("A", 2, (2, 2))

@@ -13,9 +13,10 @@ _spec.loader.exec_module(sb)
 def test_items_cover_every_suite_and_field_once():
     labels = [label for label, _, _ in sb.items()]
     assert len(labels) == len(set(labels))
-    assert sum(kind == "suite" for _, kind, _ in sb.items()) == 14
+    assert sum(kind == "suite" for _, kind, _ in sb.items()) == 15
     assert "suite A2 S={2} q=symbolic cap=9" in labels
     assert "suite F4 S={1,2,3} q=1/2 only=matrixunits" in labels
+    assert "suite C3 S={1,2} q=1/2 only=projection,invariance" in labels
     assert "suite A2 S={2} q=2/3,3/5" in labels
     assert "module G2 10 q=symbolic" in labels
     assert "module A3 101 q=1/2" in labels

@@ -22,7 +22,9 @@ from pathlib import Path
 
 # (family, rank, subset, q values or None for symbolic, cap or None,
 #  phases run or None for all); the two matrix-unit-only cases batch
-#  hundreds of unitarity sums that share one functional
+#  hundreds of unitarity sums that share one functional, and the
+#  C3 projection and invariance case has dimension 14 and Levi E/F
+#  generators
 SUITES = [
     ("A", 1, (), None, None, None),
     ("A", 2, (2,), None, None, None),
@@ -38,6 +40,7 @@ SUITES = [
     ("A", 2, (2,), None, 9, None),
     ("B", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
     ("F", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
+    ("C", 3, (1, 2), ("1/2",), None, ("projection", "invariance")),
 ]
 
 WEIGHTS = [
