@@ -13,7 +13,11 @@ the canonical cycle is a cycle only up to degenerate terms and only for the
 modular twist).  Normalization subtracts the counit part from every leg after
 the first; the canonical cycle's boundary is zero exactly modulo such
 degenerate tails, and the leftover counit content is a single power of q that
-is measured, not assumed.
+is measured, not assumed.  `verify_cycle` certifies the normalized boundary
+from P^2 = P, the q-trace law and the twist's scaling of the projection
+entries (the derivation is in its docstring), and runs the 2-leg zero test
+of the normalized boundary only when one of those fails;
+`identity_twist_control` always runs that test.
 
 The canonical cycle of the projection with entries sqrt(N_i N_j) phat[i,j]
 is the weighted trace of (2P - 1) x P x P:
@@ -39,7 +43,8 @@ from __future__ import annotations
 from random import Random
 
 from qflag import Memo, cartan
-from qflag.flagproj import FlagContext
+from qflag.coord import ZeroCertificate
+from qflag.flagproj import FlagContext, verify_idempotent, verify_qtrace
 
 # The chain routines keep a Memo per call, keyed by leg objects (or tuples
 # of them): CoordElem hashes by identity and is immutable, so a leg that
@@ -150,12 +155,89 @@ def verify_cycle(ctx: FlagContext):
 
     Returns (certificate, residual scalar, expected residual scalar):
     the residual is the counit pairing of the raw boundary, expected to be
-    the trace weight q^(2rho, rho_S)."""
+    the trace weight q^(2rho, rho_S).
+
+    The certificate comes from three facts, with p = phat, w = ctx.wexp,
+    N = ctx.norms and A the coordinate algebra:
+
+        (I) sum_j N_j p[i,j] p[j,k] = p[i,k]          (verify_idempotent)
+        (T) sum_i q^(w_i) N_i p[i,i] = N_0 q^(w_0) 1  (verify_qtrace)
+        (H) theta(p[k,i]) = q^(w_k - w_i) p[k,i]      (_theta_scales_cores)
+
+    (I) and (T) are identities in A, certified by the zero tests of
+    U[0,0] and of the trace law.  (H) is checked syntactically on the
+    2 dim generators: theta(a^k_0) = q^(w_k + w_0) a^k_0 and
+    theta(conj(a^k_0)) = q^(-w_k - w_0) conj(a^k_0).  CoordElem.theta
+    scales each key of a term by q to the sum of its slots' exponents, and
+    a product concatenates words and keys, so theta(xy) = theta(x) theta(y)
+    term by term; with p[k,i] = a^k_0 conj(a^i_0) that gives (H).
+
+    Write C(P) = 2 sum_ijk c_ijk p[i,j] x p[j,k] x p[k,i]
+    - sum_ik c_ik 1 x p[i,k] x p[k,i], c_ijk = q^(w_i) N_i N_j N_k and
+    c_ik = q^(w_i) N_i N_k (idempotent_cycle), and
+    T = sum_ik c_ik p[i,k] x p[k,i].  twisted_boundary sends
+    x0 x x1 x x2 to the faces x0 x1 x x2 - x0 x x1 x2 + theta(x2) x0 x x1.
+    On the first sum, in A x A:
+
+    * face 0: sum over j by (I) gives 2 sum_ik c_ik p[i,k] x p[k,i] = 2T;
+    * face 1: sum over k by (I) gives -2 sum_ij c_ij p[i,j] x p[j,i] = -2T;
+    * face 2: (H) turns q^(w_i) theta(p[k,i]) into q^(w_k) p[k,i], and the
+      sum over i by (I) gives 2 sum_jk c_kj p[k,j] x p[j,k] = 2T.
+
+    On the second sum:
+
+    * face 0: 1 p[i,k] = p[i,k], so it gives -T;
+    * face 1: sum over k by (I) gives + 1 x sum_i q^(w_i) N_i p[i,i];
+    * face 2: by (H), q^(w_i) theta(p[k,i]) 1 = q^(w_k) p[k,i], so it
+      gives -sum_ik c_ki p[k,i] x p[i,k] = -T.
+
+    So b_theta(C(P)) = 1 x sum_i q^(w_i) N_i p[i,i] = N_0 q^(w_0) (1 x 1)
+    by (T), as elements of A x A.  normalize is the linear map
+    id x (id - eps(.) 1) on A x A, so it takes equal elements to equal
+    ones, and it sends 1 x 1 to 1 x (1 - 1) = 0.  The certificate is then
+    zero with the closure dimensions of U[0,0] followed by those of the
+    trace law (groups adds up both tests' groups).
+
+    If (H), (I) or (T) fails, the 2-leg zero test of normalize(b_theta(C(P)))
+    decides, so verdicts, witnesses and cap overruns are then those of
+    that test.  A cap overrun in (I) or (T) propagates as CapExceeded (a
+    skipped check), never as a pass."""
     z = twisted_boundary(idempotent_cycle(ctx), twist="theta")
-    cert = chain_zero(normalize(z))
+    cert = _cycle_from_facts(ctx)
+    if cert is None:
+        cert = chain_zero(normalize(z))
     residual = z.counit_value()
     expected = ctx.field.q_power(ctx.trace_exp)
     return cert, residual, expected
+
+
+def _cycle_from_facts(ctx: FlagContext):
+    """The zero certificate of the normalized boundary from (H), (I) and
+    (T) of verify_cycle, or None if one of them fails."""
+    if not _theta_scales_cores(ctx):
+        return None
+    idem = verify_idempotent(ctx)
+    if not idem.zero:
+        return None
+    trace = verify_qtrace(ctx)
+    if not trace.zero:
+        return None
+    return ZeroCertificate(True, idem.closure_dims + trace.closure_dims,
+                           idem.groups + trace.groups)
+
+
+def _theta_scales_cores(ctx: FlagContext):
+    """theta(a^k_0) = q^(w_k + w_0) a^k_0 and
+    theta(conj(a^k_0)) = q^(-w_k - w_0) conj(a^k_0) for every k, compared
+    by canonical form; w = ctx.wexp."""
+    q_power = ctx.field.q_power
+    w0 = ctx.wexp[0]
+    for k, wk in enumerate(ctx.wexp):
+        for barred, e in ((False, wk + w0), (True, -wk - w0)):
+            x = ctx.alg.mc(k, 0, barred)
+            if x.theta().canonical() != x.scale(q_power(e)).canonical():
+                return False
+    return True
 
 
 def identity_twist_control(ctx: FlagContext):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import flagproj as fp, hochschild as hh
-from qflag.coord import CoordElem
+from qflag.coord import CapExceeded, CoordElem, ZeroCertificate
 from qflag.qscalar import FixedField, SymbolicField
 
 
@@ -142,7 +142,10 @@ def test_cycle_boundary_vanishes_normalized(ctxname, request):
     ctx = request.getfixturevalue(ctxname)
     cert, residual, expected = hh.verify_cycle(ctx)
     assert cert.zero
-    # (dim U+v0, dim U+v1, dim (1 (x) U-)^T D, dim (U-)^T G)
+    # the 1-leg certificates (dim U+v, dim (U-)^T f) of U[0,0], then of the
+    # trace law
+    idem, trace = fp.verify_idempotent(ctx), fp.verify_qtrace(ctx)
+    assert cert.closure_dims == idem.closure_dims + trace.closure_dims
     assert len(cert.closure_dims) == 4 and min(cert.closure_dims) > 0
     assert residual == expected
 
@@ -174,8 +177,22 @@ def test_identity_twist_control_fails_fixed_q():
 ])
 def test_cycle_certificate_pinned(family, rank, subset, dims):
     """The 2-leg certificate (dim U+v0, dim U+v1, dim (1 (x) U-)^T D,
-    dim (U-)^T G) of the normalized boundary at q = 1/2; a full zero
-    closure's dimensions do not depend on how it is built."""
+    dim (U-)^T G) of the normalized boundary at q = 1/2, which verify_cycle
+    falls back to; a full zero closure's dimensions do not depend on how
+    it is built."""
+    ctx = fp.flag_context(family, rank, subset, FixedField(Q(1, 2)))
+    cert = _direct_cycle_test(ctx)
+    assert (cert.zero, cert.closure_dims) == (True, dims)
+
+
+@pytest.mark.parametrize("family,rank,subset,dims", [
+    ("A", 2, (), (8, 1, 8, 1)),
+    ("B", 2, (1,), (4, 1, 4, 1)),
+    ("G", 2, (2,), (7, 1, 7, 1)),
+])
+def test_cycle_certificate_from_facts_pinned(family, rank, subset, dims):
+    """verify_cycle's certificate at q = 1/2: that of U[0,0], then that of
+    the trace law."""
     ctx = fp.flag_context(family, rank, subset, FixedField(Q(1, 2)))
     cert, _, _ = hh.verify_cycle(ctx)
     assert (cert.zero, cert.closure_dims) == (True, dims)
@@ -187,14 +204,107 @@ def test_cycle_certificate_pinned(family, rank, subset, dims):
     ("A", 2, (2,), FixedField(Q(1, 2)), (6, 6, 28, 6), "-6/17"),
 ])
 def test_identity_twist_certificate_pinned(family, rank, subset, field, dims,
-                                           value):
+                                           value, monkeypatch):
     """The full non-zero 2-leg certificate: the leg-0 closure stops at its
     first non-zero pairing, so its size and the witness value pin the
-    order in which rows are built and contracted."""
+    order in which rows are built and contracted.  With CoordElem.theta
+    the identity, verify_cycle's twist fact fails and its fallback gives
+    the same certificate."""
     ctx = fp.flag_context(family, rank, subset, field)
+    want = (False, dims, f"pairs to {value} on a closure pair")
     cert = hh.identity_twist_control(ctx)
+    assert (cert.zero, cert.closure_dims, cert.witness) == want
+    monkeypatch.setattr(CoordElem, "theta", lambda self: self)
+    assert not hh._theta_scales_cores(ctx)
+    cert, _, _ = hh.verify_cycle(ctx)
+    assert (cert.zero, cert.closure_dims, cert.witness) == want
+
+
+# -- the cycle from P^2 = P, the trace law and the twist, against the direct
+# 2-leg test of the normalized boundary
+
+
+def _direct_cycle_test(ctx):
+    return hh.chain_zero(hh.normalize(hh.twisted_boundary(
+        hh.idempotent_cycle(ctx))))
+
+
+def _theta_entry_oracle(ctx):
+    """theta(phat[k,i]) = q^(w_k - w_i) phat[k,i] at all dim^2 entries."""
+    q, w = ctx.field.q_power, ctx.wexp
+    return all(ctx.phat(k, i).theta().canonical()
+               == ctx.phat(k, i).scale(q(w[k] - w[i])).canonical()
+               for k in range(ctx.dim) for i in range(ctx.dim))
+
+
+ORACLE_CASES = [
+    ("A", 1, (), None), ("A", 2, (2,), None), ("B", 2, (1,), None),
+    ("A", 2, (), Q(1, 2)), ("B", 2, (1,), Q(1, 2)), ("G", 2, (2,), Q(1, 2)),
+    ("B", 2, (1,), Q(2, 3))]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES,
+                ids=lambda c: f"{c[0]}{c[1]}-S{c[2]}-{c[3] or 'symbolic'}")
+def oracle_ctx(request):
+    family, rank, subset, q = request.param
+    field = SymbolicField() if q is None else FixedField(q)
+    return fp.flag_context(family, rank, subset, field)
+
+
+def test_cycle_from_facts_agrees_with_direct_test(oracle_ctx):
+    """The certificate from the three facts is zero exactly when the 2-leg
+    zero test of the normalized boundary is."""
+    derived = hh._cycle_from_facts(oracle_ctx)
+    assert derived is not None
+    assert derived.zero == _direct_cycle_test(oracle_ctx).zero
+    assert hh.verify_cycle(oracle_ctx)[0] == derived
+
+
+def test_theta_generator_check_matches_entry_oracle(oracle_ctx, monkeypatch):
+    """The check on the 2 dim generators agrees with the dim^2 entry checks
+    for theta, for the identity and for theta squared."""
+    assert hh._theta_scales_cores(oracle_ctx) is True
+    assert _theta_entry_oracle(oracle_ctx) is True
+    theta = CoordElem.theta
+    for twist in (lambda self: self, lambda self: theta(theta(self))):
+        monkeypatch.setattr(CoordElem, "theta", twist)
+        assert hh._theta_scales_cores(oracle_ctx) is False
+        assert _theta_entry_oracle(oracle_ctx) is False
+
+
+def test_cycle_falls_back_when_p_squared_fails():
+    """Doubling N_1 breaks P^2 = P, and verify_cycle returns the direct
+    test's non-zero certificate."""
+    ctx = fp.flag_context("A", 2, (2,), FixedField(Q(1, 2)))
+    norms = list(ctx.norms)
+    norms[1] *= 2
+    ctx.norms = norms
+    assert not fp.verify_idempotent(ctx).zero
+    assert hh._cycle_from_facts(ctx) is None
+    cert, _, _ = hh.verify_cycle(ctx)
+    assert cert == _direct_cycle_test(ctx)
     assert (cert.zero, cert.closure_dims, cert.witness) == (
-        False, dims, f"pairs to {value} on a closure pair")
+        False, (6, 6, 83, 10), "pairs to -3/2 on a closure pair")
+
+
+@pytest.mark.parametrize("fact,value", [
+    ("_theta_scales_cores", False),
+    ("verify_idempotent", ZeroCertificate(False, (2, 1), 2, "x")),
+    ("verify_qtrace", ZeroCertificate(False, (2, 1), 2, "x")),
+])
+def test_cycle_falls_back_when_any_fact_fails(a1, monkeypatch, fact, value):
+    monkeypatch.setattr(hh, fact, lambda ctx: value)
+    cert, residual, expected = hh.verify_cycle(a1)
+    assert cert == _direct_cycle_test(a1)
+    assert (cert.zero, cert.closure_dims) == (True, (3, 3, 6, 5))
+    assert residual == expected
+
+
+def test_cycle_cap_overrun_in_the_facts_is_not_a_pass():
+    ctx = fp.flag_context("A", 1, (), SymbolicField())
+    ctx.alg.cap = 1
+    with pytest.raises(CapExceeded):
+        hh.verify_cycle(ctx)
 
 
 def test_residual_is_trace_weight(a1):

@@ -275,15 +275,16 @@ def test_isolated_phase_reproduces_suite_result(a1_report):
 
 
 def test_cap_overrun_downgrades_to_skipped():
-    # P^2 = P needs closures of the module's dimension 2 only (U[0,0]);
-    # the product law's U[0,1] needs 3
+    # P^2 = P needs closures of the module's dimension 2 only (U[0,0]), and
+    # so does the cycle, certified from U[0,0] and the trace law; the
+    # product law's U[0,1] needs 3
     rep = run_suite(CaseConfig("A", 1, cap=2,
                                only=("projection", "matrixunits", "cycle")))
     by_name = {r.name: r for r in rep.records}
     assert by_name["projection.idempotent"].status == "pass"
     assert by_name["matrixunits.product"].status == "skipped"
     assert "cap" in by_name["matrixunits.product"].note
-    assert by_name["cycle.normalized"].status == "skipped"
+    assert by_name["cycle.normalized"].status == "pass"
     # skipped checks do not fail the verdict
     assert rep.verdict == "pass"
 
@@ -387,6 +388,21 @@ def test_matrix_units_certified_at_every_index_past_dim_14(family, rank,
     assert by_name["matrixunits.trace"].lhs == f"{dim ** 2} differences zero"
 
 
+@pytest.mark.parametrize("family,rank,subset,dim", [
+    ("B", 3, (1, 3), 21), ("F", 4, (1, 2, 3), 26)])
+def test_cycle_certified_past_dim_20(family, rank, subset, dim):
+    """The cycle passes at the default cap with nothing skipped on
+    dimension-21 and dimension-26 modules, certified by the 1-leg tests of
+    U[0,0] and of the trace law, each (dim, 1)."""
+    rep = run_suite(CaseConfig(family, rank, subset, q_values=("1/2",),
+                               only=("cycle",)))
+    assert [(r.name, r.status) for r in rep.records] == [
+        ("cycle.normalized", "pass"),
+        ("cycle.unnormalized.residual", "measured")]
+    assert rep.records[0].cert_sizes == (dim, 1, dim, 1)
+    assert rep.records[1].lhs == rep.records[1].rhs
+
+
 # -- golden regression ---------------------------------------------------------
 
 
@@ -416,9 +432,11 @@ def test_emit_writes_file_and_exits_zero(tmp_path, capsys):
 
 def test_emit_counts_and_warns_on_skipped_checks(capsys):
     rep = run_suite(CaseConfig("A", 1, cap=2,
-                               only=("projection", "cycle")))
+                               only=("projection", "matrixunits", "cycle")))
     skipped = sum(r.status == "skipped" for r in rep.records)
     assert skipped >= 2
+    assert [r.status for r in rep.records
+            if r.name == "cycle.normalized"] == ["pass"]
     assert emit_report(rep, None) == 0
     lines = capsys.readouterr().out.splitlines()
     assert f"skipped: {skipped}" in lines

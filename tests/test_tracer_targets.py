@@ -53,7 +53,9 @@ def test_every_traced_span_sees_the_suite_calls():
     wrapped names.  A check that captured a wrapped function before the
     tracer patched it would bypass the wrapper and read zero without
     failing, so the full A1 symbolic suite must call every span the tracer
-    installs at least once."""
+    installs at least once.  The suite's cycle runs the 2-leg chain test
+    only when its facts fail, so the identity-twist control runs that test
+    (twisted_boundary, normalize, chain_zero) here too."""
     tracer = _load_tracer().Tracer()
     installed = []
     span = tracer.span
@@ -65,6 +67,8 @@ def test_every_traced_span_sees_the_suite_calls():
     with tracer.installed():
         with tracer.traced("A1/case") as sec:
             rep = report.run_suite(CaseConfig("A", 1))
+            ctx = flagproj.flag_context("A", 1, (), qscalar.SymbolicField())
+            assert not hochschild.identity_twist_control(ctx).zero
     assert rep.verdict == "pass"
     for layer in ("report", "flagproj", "hochschild", "classical"):
         assert any(name.startswith(f"{layer}.") for name in installed)
