@@ -205,9 +205,10 @@ def hkr_matrix(kk: ClassicalKahler):
     dy = Memo(lambda l: [_leg_derivative(l, *Y) for Y in ys])
     out = [[kk.ctx.field.zero] * len(roots) for _ in roots]
     for coeff, (a0, a1, a2) in cyc.terms:
-        s = coeff * eps[a0]
-        if not s:
+        e0 = eps[a0]
+        if not e0:
             continue
+        s = coeff * e0
         dy1, dy2 = dy[a1], dy[a2]
         for row, x1, x2 in zip(out, dx[a1], dx[a2]):
             for j, (y1, y2) in enumerate(zip(dy1, dy2)):

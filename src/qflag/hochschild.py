@@ -13,10 +13,11 @@ the canonical cycle is a cycle only up to degenerate terms and only for the
 modular twist).  Normalization subtracts the counit part from every leg after
 the first; the canonical cycle's boundary is zero exactly modulo such
 degenerate tails, and the leftover counit content is a single power of q that
-is measured, not assumed.  `verify_cycle` certifies the normalized boundary
-from P^2 = P, the q-trace law and the twist's scaling of the projection
-entries (the derivation is in its docstring), and runs the 2-leg zero test
-of the normalized boundary only when one of those fails;
+is measured, not assumed: `boundary_counit` reads it from the chain's leg
+counits, as the counit is multiplicative.  `verify_cycle` certifies the
+normalized boundary from P^2 = P, the q-trace law and the twist's scaling of
+the projection entries (the derivation is in its docstring), and runs the
+2-leg zero test of the normalized boundary only when one of those fails;
 `identity_twist_control` always runs that test.
 
 The canonical cycle of the projection with entries sqrt(N_i N_j) phat[i,j]
@@ -71,26 +72,17 @@ class Chain:
                        for c, legs in self.terms if c)
         return tuple(items)
 
-    def counit_value(self):
-        """eps applied to every leg, summed."""
-        eps = Memo(lambda l: l.counit())
-        tot = self.alg.field.zero
-        for c, legs in self.terms:
-            v = c
-            for l in legs:
-                v = v * eps[l]
-                if not v:
-                    break
-            tot = tot + v
-        return tot
 
-
-def twisted_boundary(ch: Chain, twist="theta") -> Chain:
+def _boundary_degree(ch: Chain, twist):
     if twist not in ("theta", "identity"):
         raise ValueError(f"unknown twist {twist!r}")
     if ch.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    n = ch.degree
+    return ch.degree
+
+
+def twisted_boundary(ch: Chain, twist="theta") -> Chain:
+    n = _boundary_degree(ch, twist)
     prod = Memo(lambda pair: pair[0] * pair[1])
     theta = Memo(lambda l: l.theta())
     out = []
@@ -103,6 +95,32 @@ def twisted_boundary(ch: Chain, twist="theta") -> Chain:
         cn = -c if n % 2 else c
         out.append((cn, (prod[last, legs[0]],) + legs[1:n]))
     return Chain(ch.alg, n - 1, out)
+
+
+def boundary_counit(ch: Chain, twist="theta"):
+    """eps applied to every leg of twisted_boundary(ch, twist), summed,
+    without building the boundary.
+
+    A product concatenates words and takes outer products of keys, and
+    counit is sum_k f[k] v[k], so eps(xy) = eps(x) eps(y) for every pair
+    of elements.  Inner face i < n of c (x_0 x .. x x_n) then gives
+    (-1)^i c prod_j eps(x_j), and those signs sum to 1 for odd n and to 0
+    for even n; the wrap-around face gives (-1)^n c eps(theta(x_n))
+    prod_(j<n) eps(x_j) (eps(x_n) for the identity twist).  So the term
+    gives c prod_(j<n) eps(x_j) [(n odd) eps(x_n) + (-1)^n eps(theta(x_n))],
+    and eps(x_0), .., eps(x_(n-1)) are tested before any product."""
+    n = _boundary_degree(ch, twist)
+    eps = Memo(lambda l: l.counit())
+    eps_last = Memo(lambda l: l.theta().counit()) if twist == "theta" else eps
+    tot = ch.alg.field.zero
+    for c, legs in ch.terms:
+        v = eps[legs[0]]
+        for l in legs[1:n]:
+            v = v and v * eps[l]
+        if v:
+            last = eps_last[legs[n]]
+            tot = tot + c * v * (eps[legs[n]] - last if n % 2 else last)
+    return tot
 
 
 def normalize(ch: Chain) -> Chain:
@@ -155,7 +173,8 @@ def verify_cycle(ctx: FlagContext):
 
     Returns (certificate, residual scalar, expected residual scalar):
     the residual is the counit pairing of the raw boundary, expected to be
-    the trace weight q^(2rho, rho_S).
+    the trace weight q^(2rho, rho_S), read by boundary_counit from the
+    legs of C(P); the boundary itself is built only for the fallback.
 
     The certificate comes from three facts, with p = phat, w = ctx.wexp,
     N = ctx.norms and A the coordinate algebra:
@@ -202,11 +221,11 @@ def verify_cycle(ctx: FlagContext):
     decides, so verdicts, witnesses and cap overruns are then those of
     that test.  A cap overrun in (I) or (T) propagates as CapExceeded (a
     skipped check), never as a pass."""
-    z = twisted_boundary(idempotent_cycle(ctx), twist="theta")
+    cyc = idempotent_cycle(ctx)
     cert = _cycle_from_facts(ctx)
     if cert is None:
-        cert = chain_zero(normalize(z))
-    residual = z.counit_value()
+        cert = chain_zero(normalize(twisted_boundary(cyc, twist="theta")))
+    residual = boundary_counit(cyc, twist="theta")
     expected = ctx.field.q_power(ctx.trace_exp)
     return cert, residual, expected
 
@@ -260,14 +279,11 @@ def eta_value(ctx: FlagContext, a, ch: Chain):
     eps_e = Memo(lambda l: l.act_left(("E", a)).counit())
     tot = ctx.field.zero
     for c, (a0, a1, a2) in ch.terms:
-        v = c * eps[a0]
-        if not v:
-            continue
-        v = v * eps_f[a1]
-        if not v:
-            continue
-        v = v * eps_e[a2]
-        tot = tot + v
+        e0 = eps[a0]
+        e1 = e0 and eps_f[a1]
+        e2 = e1 and eps_e[a2]
+        if e2:
+            tot = tot + c * e0 * e1 * e2
     return tot
 
 

@@ -484,11 +484,62 @@ def test_chain_routines_match_term_by_term_reference(per_leg_ctx, twist):
         ref_z = _ref_boundary(ch, twist)
         assert z.canonical() == ref_z.canonical()
         assert hh.normalize(z).canonical() == _ref_normalize(z).canonical()
-        assert z.counit_value() == _ref_counit(ref_z)
         if z.degree == 2:
             for a in range(1, ctx.rs.rank + 1):
                 assert hh.eta_value(ctx, a, z) == _ref_eta(ctx, a, ref_z)
         if ch.degree == 2:
-            assert ch.counit_value() == _ref_counit(ch)
             for a in range(1, ctx.rs.rank + 1):
                 assert hh.eta_value(ctx, a, ch) == _ref_eta(ctx, a, ch)
+
+
+# -- the boundary's counit read from the legs, against the built boundary ---------
+
+
+def _diagonal_chain(ctx, degree):
+    """Legs a^i_i and conj(a^i_i): every leg has counit 1, and theta scales
+    a leg of non-zero weight by a power of q other than 1, so the
+    wrap-around face's counit depends on the twist."""
+    mc, r = ctx.alg.mc, ctx.field.from_fraction
+    d = ctx.dim
+    return hh.Chain(ctx.alg, degree, [
+        (r(t + 1), tuple(mc((t + j) % d, (t + j) % d, (t + j) % 2 == 1)
+                         for j in range(degree + 1)))
+        for t in range(d)])
+
+
+@pytest.mark.parametrize("patch", ["theta", "identity", "theta^2"])
+def test_boundary_counit_matches_built_boundary(per_leg_ctx, patch,
+                                                monkeypatch):
+    """boundary_counit(ch, twist) is the counit of the boundary built term
+    by term, for both twists, with CoordElem.theta itself and with the
+    identity and theta^2 in its place.  Legs built from projection cores
+    have eps(theta(x)) = eps(x); on the diagonal chains it differs, so
+    there the two twists give different values unless theta is the
+    identity."""
+    ctx = per_leg_ctx
+    theta = CoordElem.theta
+    if patch == "identity":
+        monkeypatch.setattr(CoordElem, "theta", lambda self: self)
+    elif patch == "theta^2":
+        monkeypatch.setattr(CoordElem, "theta",
+                            lambda self: theta(theta(self)))
+    chains = [hh.idempotent_cycle(ctx), _shared_leg_chain(ctx)] + [
+        hh.random_chain(ctx, degree, seed)
+        for degree in (2, 3) for seed in (1, 2, 3)]
+    diagonal = [_diagonal_chain(ctx, 2), _diagonal_chain(ctx, 3)]
+    for ch in chains + diagonal:
+        got = {twist: hh.boundary_counit(ch, twist)
+               for twist in ("theta", "identity")}
+        for twist, value in got.items():
+            assert value == _ref_counit(_ref_boundary(ch, twist))
+        if ch in diagonal:
+            assert (got["theta"] == got["identity"]) == (patch == "identity")
+
+
+def test_boundary_counit_guards(a1):
+    x = a1.phat(0, 0)
+    ch = hh.Chain(a1.alg, 1, [(a1.field.one, (x, x))])
+    with pytest.raises(ValueError, match="twist"):
+        hh.boundary_counit(ch, "bogus")
+    with pytest.raises(ValueError, match="degree"):
+        hh.boundary_counit(hh.Chain(a1.alg, 0, [(a1.field.one, (x,))]))

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import qflag
+from qflag import hochschild as hh
 from qflag.cli import main
+from qflag.flagproj import flag_context
+from qflag.qscalar import FixedField
 from qflag.report import (PHASES, CaseConfig, CheckRecord, Report,
                           comparison_body, emit_report, root_label, run_suite)
 
@@ -393,14 +396,30 @@ def test_matrix_units_certified_at_every_index_past_dim_14(family, rank,
 def test_cycle_certified_past_dim_20(family, rank, subset, dim):
     """The cycle passes at the default cap with nothing skipped on
     dimension-21 and dimension-26 modules, certified by the 1-leg tests of
-    U[0,0] and of the trace law, each (dim, 1)."""
+    U[0,0] and of the trace law, each (dim, 1); the residual is the trace
+    weight q^(2rho, rho_S) at q = 1/2, q^16 and q^22."""
+    residual = {21: "1/65536", 26: "1/4194304"}[dim]
     rep = run_suite(CaseConfig(family, rank, subset, q_values=("1/2",),
                                only=("cycle",)))
     assert [(r.name, r.status) for r in rep.records] == [
         ("cycle.normalized", "pass"),
         ("cycle.unnormalized.residual", "measured")]
     assert rep.records[0].cert_sizes == (dim, 1, dim, 1)
-    assert rep.records[1].lhs == rep.records[1].rhs
+    assert (rep.records[1].lhs, rep.records[1].rhs) == (residual, residual)
+
+
+def test_cycle_residual_is_the_counit_of_the_built_boundary():
+    """B3 S={1,3} at q = 1/2: the residual, read from the legs of C(P), is
+    eps applied to every leg of the raw boundary built in full, summed."""
+    ctx = flag_context("B", 3, (1, 3), FixedField(Fraction(1, 2)))
+    z = hh.twisted_boundary(hh.idempotent_cycle(ctx), "theta")
+    built = ctx.field.zero
+    for c, legs in z.terms:
+        for leg in legs:
+            c = c * leg.counit()
+        built = built + c
+    _, residual, _ = hh.verify_cycle(ctx)
+    assert residual == built == Fraction(1, 65536)
 
 
 # -- golden regression ---------------------------------------------------------

@@ -22,9 +22,9 @@ from pathlib import Path
 
 # (family, rank, subset, q values or None for symbolic, cap or None,
 #  phases run or None for all); the two matrix-unit-only cases batch
-#  hundreds of unitarity sums that share one functional, and the
+#  hundreds of unitarity sums that share one functional, the
 #  C3 projection and invariance case has dimension 14 and Levi E/F
-#  generators
+#  generators, and the two cycle-only cases have dimensions 21 and 26
 SUITES = [
     ("A", 1, (), None, None, None),
     ("A", 2, (2,), None, None, None),
@@ -41,6 +41,8 @@ SUITES = [
     ("B", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
     ("F", 4, (1, 2, 3), ("1/2",), None, ("matrixunits",)),
     ("C", 3, (1, 2), ("1/2",), None, ("projection", "invariance")),
+    ("B", 3, (1, 3), ("1/2",), None, ("cycle",)),
+    ("F", 4, (1, 2, 3), ("1/2",), None, ("cycle",)),
 ]
 
 WEIGHTS = [
