@@ -73,16 +73,12 @@ class Chain:
         return tuple(items)
 
 
-def _boundary_degree(ch: Chain, twist):
+def twisted_boundary(ch: Chain, twist="theta") -> Chain:
     if twist not in ("theta", "identity"):
         raise ValueError(f"unknown twist {twist!r}")
     if ch.degree < 1:
         raise ValueError("boundary needs degree >= 1")
-    return ch.degree
-
-
-def twisted_boundary(ch: Chain, twist="theta") -> Chain:
-    n = _boundary_degree(ch, twist)
+    n = ch.degree
     prod = Memo(lambda pair: pair[0] * pair[1])
     theta = Memo(lambda l: l.theta())
     out = []
@@ -97,28 +93,30 @@ def twisted_boundary(ch: Chain, twist="theta") -> Chain:
     return Chain(ch.alg, n - 1, out)
 
 
-def boundary_counit(ch: Chain, twist="theta"):
-    """eps applied to every leg of twisted_boundary(ch, twist), summed,
-    without building the boundary.
+def boundary_counit(ch: Chain):
+    """eps applied to every leg of twisted_boundary(ch), summed, without
+    building the boundary.
 
     A product concatenates words and takes outer products of keys, and
     counit is sum_k f[k] v[k], so eps(xy) = eps(x) eps(y) for every pair
     of elements.  Inner face i < n of c (x_0 x .. x x_n) then gives
     (-1)^i c prod_j eps(x_j), and those signs sum to 1 for odd n and to 0
     for even n; the wrap-around face gives (-1)^n c eps(theta(x_n))
-    prod_(j<n) eps(x_j) (eps(x_n) for the identity twist).  So the term
-    gives c prod_(j<n) eps(x_j) [(n odd) eps(x_n) + (-1)^n eps(theta(x_n))],
+    prod_(j<n) eps(x_j).  So the term gives
+    c prod_(j<n) eps(x_j) [(n odd) eps(x_n) + (-1)^n eps(theta(x_n))],
     and eps(x_0), .., eps(x_(n-1)) are tested before any product."""
-    n = _boundary_degree(ch, twist)
+    n = ch.degree
+    if n < 1:
+        raise ValueError("boundary needs degree >= 1")
     eps = Memo(lambda l: l.counit())
-    eps_last = Memo(lambda l: l.theta().counit()) if twist == "theta" else eps
+    eps_theta = Memo(lambda l: l.theta().counit())
     tot = ch.alg.field.zero
     for c, legs in ch.terms:
         v = eps[legs[0]]
         for l in legs[1:n]:
             v = v and v * eps[l]
         if v:
-            last = eps_last[legs[n]]
+            last = eps_theta[legs[n]]
             tot = tot + c * v * (eps[legs[n]] - last if n % 2 else last)
     return tot
 
@@ -225,7 +223,7 @@ def verify_cycle(ctx: FlagContext):
     cert = _cycle_from_facts(ctx)
     if cert is None:
         cert = chain_zero(normalize(twisted_boundary(cyc, twist="theta")))
-    residual = boundary_counit(cyc, twist="theta")
+    residual = boundary_counit(cyc)
     expected = ctx.field.q_power(ctx.trace_exp)
     return cert, residual, expected
 

@@ -510,11 +510,11 @@ def _diagonal_chain(ctx, degree):
 @pytest.mark.parametrize("patch", ["theta", "identity", "theta^2"])
 def test_boundary_counit_matches_built_boundary(per_leg_ctx, patch,
                                                 monkeypatch):
-    """boundary_counit(ch, twist) is the counit of the boundary built term
-    by term, for both twists, with CoordElem.theta itself and with the
-    identity and theta^2 in its place.  Legs built from projection cores
-    have eps(theta(x)) = eps(x); on the diagonal chains it differs, so
-    there the two twists give different values unless theta is the
+    """boundary_counit(ch) is the counit of the theta-twisted boundary
+    built term by term, with CoordElem.theta itself and with the identity
+    and theta^2 in its place.  Legs built from projection cores have
+    eps(theta(x)) = eps(x); on the diagonal chains it differs, so there
+    the value differs from that of the identity twist unless theta is the
     identity."""
     ctx = per_leg_ctx
     theta = CoordElem.theta
@@ -528,18 +528,14 @@ def test_boundary_counit_matches_built_boundary(per_leg_ctx, patch,
         for degree in (2, 3) for seed in (1, 2, 3)]
     diagonal = [_diagonal_chain(ctx, 2), _diagonal_chain(ctx, 3)]
     for ch in chains + diagonal:
-        got = {twist: hh.boundary_counit(ch, twist)
-               for twist in ("theta", "identity")}
-        for twist, value in got.items():
-            assert value == _ref_counit(_ref_boundary(ch, twist))
+        got = hh.boundary_counit(ch)
+        assert got == _ref_counit(_ref_boundary(ch, "theta"))
         if ch in diagonal:
-            assert (got["theta"] == got["identity"]) == (patch == "identity")
+            untwisted = _ref_counit(_ref_boundary(ch, "identity"))
+            assert (got == untwisted) == (patch == "identity")
 
 
-def test_boundary_counit_guards(a1):
+def test_boundary_counit_needs_degree_one(a1):
     x = a1.phat(0, 0)
-    ch = hh.Chain(a1.alg, 1, [(a1.field.one, (x, x))])
-    with pytest.raises(ValueError, match="twist"):
-        hh.boundary_counit(ch, "bogus")
     with pytest.raises(ValueError, match="degree"):
         hh.boundary_counit(hh.Chain(a1.alg, 0, [(a1.field.one, (x,))]))
